@@ -26,7 +26,6 @@ from .scheduler import (
     choose_side,
     delta_z,
     latency_per_token,
-    phi,
     theoretical_speedup,
 )
 from .simulator import AcceptanceTrace, NetModel, SimResult, instantaneous_latency, simulate
@@ -54,7 +53,6 @@ __all__ = [
     "interpolate_target",
     "latency_per_token",
     "lk_divergence",
-    "phi",
     "simulate",
     "speculative_sample",
     "theoretical_speedup",

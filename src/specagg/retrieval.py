@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -156,10 +156,3 @@ def random_corpus(
         )
         docs.append(Document(id=i, tokens=tuple(int(t) for t in tokens)))
     return Corpus(docs=tuple(docs), chunk_size=chunk_size)
-
-
-def iter_token_ids(docs: Iterable[Document]) -> set[int]:
-    seen: set[int] = set()
-    for d in docs:
-        seen.update(d.tokens)
-    return seen

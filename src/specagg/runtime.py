@@ -13,17 +13,26 @@ depth, or which node aggregates.  Three mechanisms carry that:
     barrier, and the non-aggregator's mirror by the FIFO ordering of drafts
     behind the outcome message that invalidated them.
 
+Thread layout per node: the thread that calls `run_node` runs the event
+loop, which owns all protocol state, handles every received message,
+aggregates inline while this node holds the role, and makes every send
+itself, in the order the state changed; that order is what the FIFO fence
+above relies on.  One decode worker thread owns the DecoderState and takes
+decode and rollback commands in order.  The loop's only blocking wait is
+`DelayedInbox.recv`, which the worker wakes when a draft is ready.
+
 Failures are surfaced, never papered over: any step desync raises with a
 state dump.
 """
 
 from __future__ import annotations
 
-import logging
+import queue
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .aggregator import aggregate
 from .common import ProtocolError, Side
@@ -36,7 +45,6 @@ from .scheduler import AcceptanceEstimate, CostVector, MovingAcceptance, choose_
 from .transport import (
     Bye,
     Codec,
-    ConnectionClosedError,
     DelayedInbox,
     DraftMsg,
     Hello,
@@ -44,14 +52,15 @@ from .transport import (
     ProbeKind,
     ProbeMsg,
     TargetMsg,
-    TransportError,
     connect,
     listen_once,
 )
 
-log = logging.getLogger(__name__)
-
 METRICS_CSV_HEADER = ("step", "token", "accept_l", "accept_r", "latency_ms")
+PEER_TIMEOUT_S = 120.0  # bound on the handshake, on generation and on the peer's shutdown
+# One decode running and the next queued, so the worker never idles waiting
+# for the loop; a deeper queue spends CPU on drafts that a rejection discards.
+DECODES_IN_FLIGHT = 2
 
 
 @dataclass(frozen=True)
@@ -161,37 +170,87 @@ def _canonical_record(rec: DraftRecord, top_p: float, decode_ms: float):
     return canonical, compressed
 
 
-class _NodeEngine:
-    """All mutable state lives behind one condition variable.
+class _DecodeWorker:
+    """The one thread a node starts.  It alone touches the DecoderState.
 
-    Thread layout per node: decoder (producer), dispatcher (applies received
-    messages), writer (drains the outbox in order), aggregator (consumer,
-    active only while this node holds the role), plus the inbox pump.
+    Commands run in the order the event loop queued them: `decode(epoch,
+    preempt)` drafts the next token, `rollback(prefix, next_input)` rewinds
+    the state.  Every decode posts (epoch, canonical record, compressed
+    distribution) to `results`, with None for both when it was preempted
+    before or during the injected decode delay, then wakes the loop.
     """
 
-    WAIT_SLICE = 0.2
+    def __init__(self, config: NodeConfig, state: DecoderState, wake) -> None:
+        self.config = config
+        self.state = state
+        self.results: queue.SimpleQueue = queue.SimpleQueue()
+        self._wake = wake
+        self._commands: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread = threading.Thread(
+            target=self._run, name=f"decode-{config.role}", daemon=True
+        )
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def stop(self) -> None:
+        self._commands.put(None)
+        self._thread.join(timeout=10.0)
+
+    def decode(self, epoch: int, preempt: threading.Event) -> None:
+        self._commands.put(partial(self._decode, epoch, preempt))
+
+    def rollback(self, prefix: list[int], next_input: int) -> None:
+        self._commands.put(partial(rollback, self.state, prefix, next_input))
+
+    def _run(self) -> None:
+        try:
+            while (command := self._commands.get()) is not None:
+                command()
+        except Exception as exc:  # noqa: BLE001 - re-raised on the event loop
+            self.results.put(exc)
+            self._wake()
+
+    def _decode(self, epoch: int, preempt: threading.Event) -> None:
+        cfg = self.config
+        started = time.perf_counter()
+        if preempt.wait(cfg.decode_delay_ms / 1000.0):
+            self.results.put((epoch, None, None))
+        else:
+            rerank(self.state)
+            rec = decode_step(self.state, decode_uniform(cfg.seed, self.state.gen_step))
+            decode_ms = (time.perf_counter() - started) * 1000.0
+            canonical, compressed = _canonical_record(rec, cfg.top_p, decode_ms)
+            self.results.put((epoch, canonical, compressed))
+        self._wake()
+
+
+class _NodeEngine:
+    """The event loop of one node; it runs on the thread that calls `run`.
+
+    The protocol state below belongs to the loop alone, so none of it is
+    locked.  Sends block: two loops cannot stall on each other's sends while
+    the frames in flight per direction (at most `queue_capacity` drafts plus
+    a few control frames per draft) fit in the socket buffers, and a send
+    that stalls FRAME_TIMEOUT_S fails the run.
+    """
 
     def __init__(self, config: NodeConfig, state: DecoderState, stream: MessageStream) -> None:
         self.config = config
         self.role = config.role
-        self.state = state
         self.stream = stream
         self.inbox = DelayedInbox(stream, config.link_delay_ms)
+        self.worker = _DecodeWorker(config, state, self.inbox.wake)
 
-        self.cond = threading.Condition()
         self.queues: dict[Side, deque[DraftRecord]] = {s: deque() for s in Side}
         self.next_expected: dict[Side, int] = {s: 0 for s in Side}
         self.awaiting_ack: dict[Side, int | None] = {s: None for s in Side}
         self.log_entries: list[TargetEntry] = []
-        self.outbox: deque = deque()
         self.current_agg: Side = config.static_side or Side.DEVICE
         self.epoch = 0
-        self.pending_rollback: tuple[list[int], int] | None = None
-        self.preempt = threading.Event()
-        self.stop = False
-        self.fatal: BaseException | None = None
+        self.preempt = threading.Event()  # set when self.epoch moves on
+        self.in_flight = 0  # decode commands queued or running
         self.peer_hello = False
-        self.peer_bye = False
         self.switches = 0
 
         self.acceptance = {s: MovingAcceptance(config.ema_weight) for s in Side}
@@ -206,18 +265,6 @@ class _NodeEngine:
         self.profile_rows: list[tuple[float, float, float, float, float]] = []
 
     # ---------------------------------------------------------------- utils
-
-    def _die(self, exc: BaseException) -> None:
-        with self.cond:
-            if self.fatal is None:
-                self.fatal = exc
-            self.stop = True
-            self.preempt.set()
-            self.cond.notify_all()
-
-    def _check_alive(self) -> None:
-        if self.fatal is not None:
-            raise RuntimeError(f"peer task failed: {self.fatal}") from self.fatal
 
     def _dump(self) -> str:
         heads = {
@@ -244,7 +291,7 @@ class _NodeEngine:
         switch_to: Side | None,
         remote: bool,
     ) -> None:
-        """Queue maintenance, preemption, and log append.  Caller holds cond."""
+        """Queue maintenance, preemption, and log append."""
         if step != len(self.log_entries):
             raise self._protocol_error(f"outcome for step {step}, expected {len(self.log_entries)}")
         now = time.perf_counter()
@@ -256,89 +303,73 @@ class _NodeEngine:
 
         accepted = {Side.DEVICE: accept_l, Side.CLOUD: accept_r}
         for side in Side:
-            queue = self.queues[side]
+            drafts = self.queues[side]
             if accepted[side]:
-                if not queue or queue[0].step != step:
+                if not drafts or drafts[0].step != step:
                     raise self._protocol_error(f"accepted {side} draft missing at step {step}")
-                queue.popleft()
+                drafts.popleft()
             else:
-                queue.clear()
+                drafts.clear()
                 self.next_expected[side] = step + 1
                 if side is self.role:
-                    prefix = self.config.prompt + [e.token for e in self.log_entries[:-1]]
-                    self.pending_rollback = (prefix, target)
                     self.epoch += 1
                     self.preempt.set()
+                    self.preempt = threading.Event()
+                    prefix = self.config.prompt + [e.token for e in self.log_entries[:-1]]
+                    self.worker.rollback(prefix, target)
                     if remote:
-                        self.outbox.append(
-                            ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step, t_send=now)
-                        )
+                        self.stream.send(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step, t_send=now))
                 elif not remote:
                     # I aggregate: the remote side's fresh drafts race its ack
                     self.awaiting_ack[side] = step
         if switch_to is not None and switch_to is not self.current_agg:
             self.current_agg = switch_to
             self.switches += 1
-        self.cond.notify_all()
 
-    # --------------------------------------------------------------- threads
+    # ----------------------------------------------------------- own drafts
 
-    def _decoder_gates_open(self) -> bool:
-        if self.state.gen_step >= self.config.max_new_tokens:
-            return False
-        if self.config.vanilla:
-            return self.state.gen_step == len(self.log_entries)
-        return len(self.queues[self.role]) < self.config.queue_capacity
-
-    def _decoder_loop(self) -> None:
+    def _request_decodes(self) -> None:
+        """Keep up to DECODES_IN_FLIGHT decode commands queued, within the gates."""
         cfg = self.config
+        while self.in_flight < DECODES_IN_FLIGHT:
+            step = self.next_expected[self.role] + self.in_flight
+            if step >= cfg.max_new_tokens:
+                return
+            if cfg.vanilla:
+                if self.in_flight or step != len(self.log_entries):
+                    return
+            elif len(self.queues[self.role]) + self.in_flight >= cfg.queue_capacity:
+                return
+            self.in_flight += 1
+            self.worker.decode(self.epoch, self.preempt)
+
+    def _drain_decodes(self) -> None:
         while True:
-            with self.cond:
-                while True:
-                    self._check_alive()
-                    if self.stop:
-                        return
-                    if self.pending_rollback is not None:
-                        prefix, next_input = self.pending_rollback
-                        rollback(self.state, prefix, next_input)
-                        self.pending_rollback = None
-                        self.preempt = threading.Event()
-                    if self._decoder_gates_open():
-                        break
-                    self.cond.wait(self.WAIT_SLICE)
-                epoch0 = self.epoch
-                preempt = self.preempt
-            started = time.perf_counter()
-            if cfg.decode_delay_ms > 0:
-                if preempt.wait(cfg.decode_delay_ms / 1000.0):
-                    continue  # preempted mid-decode; rollback applied at loop top
-            rerank(self.state)
-            rec = decode_step(self.state, decode_uniform(cfg.seed, self.state.gen_step))
-            decode_ms = (time.perf_counter() - started) * 1000.0
-            canonical, compressed = _canonical_record(rec, cfg.top_p, decode_ms)
-            with self.cond:
-                if self.epoch != epoch0:
-                    continue  # rejected while decoding; discard the stale draft
-                if canonical.step != self.next_expected[self.role]:
-                    raise self._protocol_error(
-                        f"own draft step {canonical.step} != expected {self.next_expected[self.role]}"
-                    )
-                self.queues[self.role].append(canonical)
-                self.next_expected[self.role] = canonical.step + 1
-                self.profiler.observe_decode(
-                    self.role, cfg.prompt_len_abs(canonical.step), decode_ms
+            try:
+                result = self.worker.results.get_nowait()
+            except queue.Empty:
+                return
+            if isinstance(result, BaseException):
+                raise result
+            self.in_flight -= 1
+            epoch, rec, compressed = result
+            if rec is None or epoch != self.epoch:
+                continue  # preempted, or rejected while decoding: drop the stale draft
+            if rec.step != self.next_expected[self.role]:
+                raise self._protocol_error(
+                    f"own draft step {rec.step} != expected {self.next_expected[self.role]}"
                 )
-                self._record_profile(canonical.step, decode_ms)
-                self.outbox.append(
-                    DraftMsg(
-                        step=canonical.step,
-                        token=canonical.token,
-                        h=canonical.h,
-                        decode_ms=decode_ms,
-                        dist=compressed,
-                    )
+            self.queues[self.role].append(rec)
+            self.next_expected[self.role] = rec.step + 1
+            self.profiler.observe_decode(
+                self.role, self.config.prompt_len_abs(rec.step), rec.decode_ms
+            )
+            self._record_profile(rec.step, rec.decode_ms)
+            self.stream.send(
+                DraftMsg(
+                    step=rec.step, token=rec.token, h=rec.h, decode_ms=rec.decode_ms, dist=compressed
                 )
-                self.cond.notify_all()
+            )
 
     def _record_profile(self, step: int, decode_ms: float) -> None:
         t_abs = self.config.prompt_len_abs(step)
@@ -347,99 +378,56 @@ class _NodeEngine:
             (t_abs, decode_ms, pred, self.rtt_ema or 0.0, self.bw_obs)
         )
 
-    def _writer_loop(self) -> None:
-        while True:
-            with self.cond:
-                while not self.outbox:
-                    self._check_alive()
-                    if self.stop:
-                        return
-                    self.cond.wait(self.WAIT_SLICE)
-                msg = self.outbox.popleft()
-            self.stream.send(msg)
-            if isinstance(msg, Bye):
-                return
+    # ------------------------------------------------------------- messages
 
-    def _dispatch_loop(self) -> None:
+    def _handle(self, msg) -> None:
         peer = self.role.other
-        while True:
-            try:
-                msg = self.inbox.recv(timeout=self.WAIT_SLICE)
-            except TimeoutError:
-                with self.cond:
-                    self._check_alive()
-                    if self.stop and self.peer_bye:
-                        return
-                continue
-            except ConnectionClosedError:
-                with self.cond:
-                    if self.stop or self.peer_bye:
-                        return
-                raise
-            if isinstance(msg, Hello):
-                with self.cond:
-                    self.peer_hello = True
-                    self.cond.notify_all()
-            elif isinstance(msg, Bye):
-                with self.cond:
-                    self.peer_bye = True
-                    self.cond.notify_all()
-            elif isinstance(msg, DraftMsg):
-                self._on_draft(peer, msg)
-            elif isinstance(msg, TargetMsg):
-                with self.cond:
-                    if self.current_agg is self.role:
-                        raise self._protocol_error("received outcome while aggregating")
-                    self._apply_outcome(
-                        msg.step, msg.target, msg.accept_l, msg.accept_r, msg.switch_to, remote=True
-                    )
-            elif isinstance(msg, ProbeMsg):
-                self._on_probe(peer, msg)
-            else:
-                raise self._protocol_error(f"unexpected message {type(msg).__name__}")
+        if isinstance(msg, DraftMsg):
+            self._on_draft(peer, msg)
+        elif isinstance(msg, TargetMsg):
+            if self.current_agg is self.role:
+                raise self._protocol_error("received outcome while aggregating")
+            self._apply_outcome(
+                msg.step, msg.target, msg.accept_l, msg.accept_r, msg.switch_to, remote=True
+            )
+        elif isinstance(msg, ProbeMsg):
+            self._on_probe(peer, msg)
+        elif isinstance(msg, Hello):
+            self.peer_hello = True
+        else:
+            raise self._protocol_error("peer said bye before the log was final")
 
     def _on_draft(self, peer: Side, msg: DraftMsg) -> None:
-        with self.cond:
-            if self.awaiting_ack[peer] is not None:
-                return  # stale speculative draft from before the peer rolled back
-            if msg.step != self.next_expected[peer]:
-                raise self._protocol_error(
-                    f"peer draft step {msg.step} != expected {self.next_expected[peer]}"
-                )
-            rec = DraftRecord(
-                side=peer,
-                step=msg.step,
-                token=msg.token,
-                dist=topp_decode(msg.dist),
-                h=msg.h,
-                decode_ms=msg.decode_ms,
+        if self.awaiting_ack[peer] is not None:
+            return  # stale speculative draft from before the peer rolled back
+        if msg.step != self.next_expected[peer]:
+            raise self._protocol_error(
+                f"peer draft step {msg.step} != expected {self.next_expected[peer]}"
             )
-            self.queues[peer].append(rec)
-            self.next_expected[peer] = msg.step + 1
-            self.profiler.observe_decode(
-                peer, self.config.prompt_len_abs(msg.step), msg.decode_ms
-            )
-            self.cond.notify_all()
+        rec = DraftRecord(
+            side=peer,
+            step=msg.step,
+            token=msg.token,
+            dist=topp_decode(msg.dist),
+            h=msg.h,
+            decode_ms=msg.decode_ms,
+        )
+        self.queues[peer].append(rec)
+        self.next_expected[peer] = msg.step + 1
+        self.profiler.observe_decode(peer, self.config.prompt_len_abs(msg.step), msg.decode_ms)
 
     def _on_probe(self, peer: Side, msg: ProbeMsg) -> None:
-        with self.cond:
-            if msg.kind is ProbeKind.ECHO_REQUEST:
-                self.outbox.append(
-                    ProbeMsg(ProbeKind.ECHO_REPLY, seq=msg.seq, t_send=msg.t_send)
-                )
-                self.cond.notify_all()
-            elif msg.kind is ProbeKind.ECHO_REPLY:
-                rtt_ms = (time.perf_counter() - msg.t_send) * 1000.0
-                self.rtt_ema = (
-                    rtt_ms if self.rtt_ema is None else 0.8 * self.rtt_ema + 0.2 * rtt_ms
-                )
-            elif msg.kind is ProbeKind.ROLLBACK_ACK:
-                if self.awaiting_ack[peer] != msg.seq:
-                    raise self._protocol_error(
-                        f"unexpected rollback ack for step {msg.seq}"
-                    )
-                self.awaiting_ack[peer] = None
-                self.cond.notify_all()
+        if msg.kind is ProbeKind.ECHO_REQUEST:
+            self.stream.send(ProbeMsg(ProbeKind.ECHO_REPLY, seq=msg.seq, t_send=msg.t_send))
+        elif msg.kind is ProbeKind.ECHO_REPLY:
+            rtt_ms = (time.perf_counter() - msg.t_send) * 1000.0
+            self.rtt_ema = rtt_ms if self.rtt_ema is None else 0.8 * self.rtt_ema + 0.2 * rtt_ms
+        elif msg.kind is ProbeKind.ROLLBACK_ACK:
+            if self.awaiting_ack[peer] != msg.seq:
+                raise self._protocol_error(f"unexpected rollback ack for step {msg.seq}")
+            self.awaiting_ack[peer] = None
+
+    # ----------------------------------------------------------- aggregation
 
     def _heads_ready(self) -> bool:
         step = len(self.log_entries)
@@ -447,51 +435,42 @@ class _NodeEngine:
             self.queues[s] and self.queues[s][0].step == step for s in Side
         )
 
-    def _aggregator_loop(self) -> None:
+    def _aggregate_ready(self) -> None:
         cfg = self.config
-        while True:
-            with self.cond:
-                while True:
-                    self._check_alive()
-                    if self.stop or len(self.log_entries) >= cfg.max_new_tokens:
-                        return
-                    if self.current_agg is self.role and self._heads_ready():
-                        break
-                    self.cond.wait(self.WAIT_SLICE)
-                step = len(self.log_entries)
-                draft_dev = self.queues[Side.DEVICE][0]
-                draft_cloud = self.queues[Side.CLOUD][0]
-                outcome = aggregate(draft_dev, draft_cloud, aggregation_draws(cfg.seed, step))
-                self.acceptance[Side.DEVICE].update(outcome.accept_l)
-                self.acceptance[Side.CLOUD].update(outcome.accept_r)
-                switch_to = self._schedule(step)
-                self._apply_outcome(
-                    step,
-                    outcome.target,
-                    outcome.accept_l,
-                    outcome.accept_r,
-                    switch_to,
-                    remote=False,
+        while (
+            self.current_agg is self.role
+            and len(self.log_entries) < cfg.max_new_tokens
+            and self._heads_ready()
+        ):
+            step = len(self.log_entries)
+            draft_dev = self.queues[Side.DEVICE][0]
+            draft_cloud = self.queues[Side.CLOUD][0]
+            outcome = aggregate(draft_dev, draft_cloud, aggregation_draws(cfg.seed, step))
+            self.acceptance[Side.DEVICE].update(outcome.accept_l)
+            self.acceptance[Side.CLOUD].update(outcome.accept_r)
+            switch_to = self._schedule(step)
+            self._apply_outcome(
+                step,
+                outcome.target,
+                outcome.accept_l,
+                outcome.accept_r,
+                switch_to,
+                remote=False,
+            )
+            self.stream.send(
+                TargetMsg(
+                    step=step,
+                    target=outcome.target,
+                    accept_l=outcome.accept_l,
+                    accept_r=outcome.accept_r,
+                    switch_to=switch_to,
                 )
-                self.outbox.append(
-                    TargetMsg(
-                        step=step,
-                        target=outcome.target,
-                        accept_l=outcome.accept_l,
-                        accept_r=outcome.accept_r,
-                        switch_to=switch_to,
-                    )
-                )
-                self._probe_seq += 1
-                self.outbox.append(
-                    ProbeMsg(
-                        ProbeKind.ECHO_REQUEST,
-                        seq=self._probe_seq,
-                        t_send=time.perf_counter(),
-                    )
-                )
-                self._update_bandwidth(step)
-                self.cond.notify_all()
+            )
+            self._probe_seq += 1
+            self.stream.send(
+                ProbeMsg(ProbeKind.ECHO_REQUEST, seq=self._probe_seq, t_send=time.perf_counter())
+            )
+            self._update_bandwidth(step)
 
     def _schedule(self, step: int) -> Side | None:
         """Pick the aggregation side for step+1; None means stay put."""
@@ -533,46 +512,24 @@ class _NodeEngine:
     def run(self, started_at: float) -> NodeResult:
         self._started_at = started_at
         cfg = self.config
-        threads: list[threading.Thread] = []
         try:
-            threads = [
-                threading.Thread(target=self._guard(self._writer_loop), name="writer", daemon=True),
-                threading.Thread(target=self._guard(self._dispatch_loop), name="dispatch", daemon=True),
-            ]
-            for t in threads:
-                t.start()
-            with self.cond:
-                self.outbox.append(Hello())
-                self.cond.notify_all()
-            self._wait_for(lambda: self.peer_hello, "handshake")
-            if not self.log_entries and cfg.max_new_tokens == 0:
+            self.worker.start()
+            self.stream.send(Hello())
+            self._loop_until(lambda: self.peer_hello, "handshake")
+            if cfg.max_new_tokens == 0:
                 self.ttft_ms = (time.perf_counter() - started_at) * 1000.0
-
-            work = [
-                threading.Thread(target=self._guard(self._decoder_loop), name="decoder", daemon=True),
-                threading.Thread(
-                    target=self._guard(self._aggregator_loop), name="aggregator", daemon=True
-                ),
-            ]
-            for t in work:
-                t.start()
-            threads.extend(work)
-
-            self._wait_for(lambda: len(self.log_entries) >= cfg.max_new_tokens, "generation")
-            with self.cond:
-                self.outbox.append(Bye())
-                self.cond.notify_all()
-            self._wait_for(lambda: self.peer_bye, "peer shutdown")
+            self._loop_until(lambda: len(self.log_entries) >= cfg.max_new_tokens, "generation")
+            self.stream.send(Bye())
+            # the log is final and Bye is our last frame: skip whatever precedes the peer's Bye
+            deadline = time.perf_counter() + PEER_TIMEOUT_S
+            while not isinstance(self._recv(deadline, "peer shutdown"), Bye):
+                pass
         finally:
             # on failure, closing the socket fails the peer fast as well
-            with self.cond:
-                self.stop = True
-                self.preempt.set()
-                self.cond.notify_all()
-            for t in threads:
-                t.join(timeout=10.0)
+            self.preempt.set()
+            self.worker.stop()
+            self.inbox.close()
             self.stream.close()
-        self._check_alive()
         return NodeResult(
             role=self.role,
             target_log=list(self.log_entries),
@@ -581,24 +538,24 @@ class _NodeEngine:
             profile_rows=list(self.profile_rows),
         )
 
-    def _guard(self, fn):
-        def runner():
-            try:
-                fn()
-            except BaseException as exc:  # noqa: BLE001 - fail fast, surfaced in run()
-                log.error("%s task failed: %s", self.role, exc)
-                self._die(exc)
+    def _loop_until(self, done, label: str) -> None:
+        """Do all ready work, then wait for a message or a decode, until done()."""
+        deadline = time.perf_counter() + PEER_TIMEOUT_S
+        while True:
+            self._drain_decodes()
+            self._aggregate_ready()
+            self._request_decodes()
+            if done():
+                return
+            msg = self._recv(deadline, label)
+            if msg is not None:
+                self._handle(msg)
 
-        return runner
-
-    def _wait_for(self, predicate, label: str, timeout: float = 120.0) -> None:
-        deadline = time.perf_counter() + timeout
-        with self.cond:
-            while not predicate():
-                self._check_alive()
-                if time.perf_counter() > deadline:
-                    raise RuntimeError(f"timed out waiting for {label} [{self._dump()}]")
-                self.cond.wait(self.WAIT_SLICE)
+    def _recv(self, deadline: float, label: str):
+        try:
+            return self.inbox.recv(timeout=deadline - time.perf_counter())
+        except TimeoutError:
+            raise RuntimeError(f"timed out waiting for {label} [{self._dump()}]") from None
 
 
 def run_node(config: NodeConfig) -> NodeResult:
@@ -607,9 +564,14 @@ def run_node(config: NodeConfig) -> NodeResult:
     config.validate()
     state = build_decoder(config)
     if config.listen is not None:
-        stream, _ = listen_once(*config.listen, codec=config.codec)
+        stream, _ = listen_once(*config.listen, codec=config.codec, vocab_size=config.vocab_size)
     elif config.peer is not None:
-        stream = connect(*config.peer, timeout=config.connect_timeout, codec=config.codec)
+        stream = connect(
+            *config.peer,
+            timeout=config.connect_timeout,
+            codec=config.codec,
+            vocab_size=config.vocab_size,
+        )
     else:
         raise ValueError("config needs either listen or peer")
     engine = _NodeEngine(config, state, stream)

@@ -69,11 +69,6 @@ class MovingAcceptance:
         return self.value
 
 
-def phi(total: float, begin: float, now: float) -> float:
-    """Remaining time of a duration that started at `begin`, floored at 0."""
-    return max(0.0, total + begin - now)
-
-
 def latency_per_token(costs: CostVector, acc: AcceptanceEstimate, local: str = "l") -> float:
     """Expected wait for the next draft pair when `local` keeps aggregating.
 

@@ -38,6 +38,7 @@ from .rng import derive_seed
 from . import transport
 
 STRATEGIES = ("device", "cloud", "random", "dragon")
+TRACE_CSV_HEADER = ("step", "accept_l", "accept_r")
 DEFAULT_JITTER_PERIOD_S = 20.0 * math.pi
 
 
@@ -109,19 +110,28 @@ class AcceptanceTrace:
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "AcceptanceTrace":
-        rows: list[tuple[int, bool, bool]] = []
+        """Read a trace CSV or a node's metrics CSV; columns go by header name.
+
+        Steps must run 0, 1, 2, ... without a gap; flags must be 0 or 1.
+        """
+        flags: list[tuple[bool, bool]] = []
         with open(path, "r", newline="", encoding="ascii") as fh:
-            for record in csv.reader(fh):
-                if not record or not record[0].strip().isdigit():
-                    continue  # header or blank
-                rows.append((int(record[0]), record[1].strip() == "1", record[2].strip() == "1"))
-        rows.sort(key=lambda r: r[0])
-        return cls(tuple((a, b) for _, a, b in rows))
+            reader = csv.DictReader(fh)
+            missing = set(TRACE_CSV_HEADER) - set(reader.fieldnames or ())
+            if missing:
+                raise ValueError(f"{path}: not a trace, columns {sorted(missing)} missing")
+            for row in reader:
+                if row["step"] != str(len(flags)):
+                    raise ValueError(f"{path}: step {row['step']!r} where {len(flags)} belongs")
+                if {row["accept_l"], row["accept_r"]} - {"0", "1"}:
+                    raise ValueError(f"{path}: step {len(flags)} has a flag other than 0/1")
+                flags.append((row["accept_l"] == "1", row["accept_r"] == "1"))
+        return cls(tuple(flags))
 
     def save_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
-            writer.writerow(("step", "accept_l", "accept_r"))
+            writer.writerow(TRACE_CSV_HEADER)
             for step, (a, b) in enumerate(self.flags):
                 writer.writerow((step, int(a), int(b)))
 

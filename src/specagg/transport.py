@@ -4,15 +4,20 @@ Frame = 6-byte header (type u8, codec u8, body_len u32 LE) + body.  All
 multi-byte integers are little-endian; probabilities travel as IEEE binary16.
 Codec 1 wraps the body in zlib; the header length is always the on-wire
 (compressed) body size, so frames stay self-delimiting either way.
+
+A live stream knows the run's vocabulary, so it rejects a header that
+announces a body larger than the biggest legal frame (a draft keeping every
+token) before reading it, and stops inflating a compressed body at the same
+size.  Socket reads and writes on both roles time out after FRAME_TIMEOUT_S.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import selectors
 import socket
 import struct
-import threading
 import time
 import zlib
 from dataclasses import dataclass
@@ -26,15 +31,15 @@ HEADER = struct.Struct("<BBI")
 _DRAFT_FIXED = struct.Struct("<IIdf")
 _DIST_HEAD = struct.Struct("<II")
 _TARGET = struct.Struct("<IIBBB")
-_SWITCH = struct.Struct("<IB")
-_PROBE_FIXED = struct.Struct("<BIdI")
+_PROBE = struct.Struct("<BId")
 _PAIR_DTYPE = np.dtype([("id", "<u4"), ("value", "<f2")])
+
+FRAME_TIMEOUT_S = 30.0  # a peer that stalls this long inside a read or write is gone
 
 
 class MsgType(enum.IntEnum):
     DRAFT = 1
     TARGET = 2
-    SWITCH = 3
     PROBE = 4
     HELLO = 5
     BYE = 6
@@ -106,20 +111,13 @@ class TargetMsg:
 
 
 @dataclass(frozen=True)
-class SwitchMsg:
-    step: int
-    to: Side
-
-
-@dataclass(frozen=True)
 class ProbeMsg:
     kind: ProbeKind
     seq: int
     t_send: float
-    payload: bytes = b""
 
 
-Message = Hello | Bye | DraftMsg | TargetMsg | SwitchMsg | ProbeMsg
+Message = Hello | Bye | DraftMsg | TargetMsg | ProbeMsg
 
 _SIDE_CODE = {None: 0, Side.DEVICE: 1, Side.CLOUD: 2}
 _CODE_SIDE = {0: None, 1: Side.DEVICE, 2: Side.CLOUD}
@@ -165,11 +163,8 @@ def _encode_body(msg: Message) -> tuple[MsgType, bytes]:
             int(msg.accept_r),
             _SIDE_CODE[msg.switch_to],
         )
-    if isinstance(msg, SwitchMsg):
-        return MsgType.SWITCH, _SWITCH.pack(msg.step, _SIDE_CODE[msg.to])
     if isinstance(msg, ProbeMsg):
-        fixed = _PROBE_FIXED.pack(int(msg.kind), msg.seq, msg.t_send, len(msg.payload))
-        return MsgType.PROBE, fixed + msg.payload
+        return MsgType.PROBE, _PROBE.pack(int(msg.kind), msg.seq, msg.t_send)
     raise TypeError(f"not a wire message: {type(msg).__name__}")
 
 
@@ -199,23 +194,39 @@ def _decode_body(msg_type: int, body: bytes) -> Message:
             accept_r=bool(a_r),
             switch_to=_CODE_SIDE[switch],
         )
-    if msg_type == MsgType.SWITCH:
-        if len(body) != _SWITCH.size:
-            raise FrameLengthError(f"switch body must be {_SWITCH.size} bytes")
-        step, code = _SWITCH.unpack(body)
-        side = _CODE_SIDE.get(code)
-        if side is None:
-            raise FrameLengthError(f"bad side code {code}")
-        return SwitchMsg(step=step, to=side)
     if msg_type == MsgType.PROBE:
-        if len(body) < _PROBE_FIXED.size:
-            raise FrameLengthError("probe body truncated")
-        kind, seq, t_send, pay_len = _PROBE_FIXED.unpack_from(body, 0)
-        payload = body[_PROBE_FIXED.size :]
-        if len(payload) != pay_len:
-            raise FrameLengthError("probe payload length mismatch")
-        return ProbeMsg(kind=ProbeKind(kind), seq=seq, t_send=t_send, payload=payload)
+        if len(body) != _PROBE.size:
+            raise FrameLengthError(f"probe body must be {_PROBE.size} bytes")
+        kind, seq, t_send = _PROBE.unpack(body)
+        return ProbeMsg(kind=ProbeKind(kind), seq=seq, t_send=t_send)
     raise UnknownMessageTypeError(f"unknown message type {msg_type}")
+
+
+def max_body_len(vocab_size: int) -> int:
+    """Largest legal decoded body for a vocabulary: a draft keeping every token."""
+    return _DRAFT_FIXED.size + _DIST_HEAD.size + vocab_size * _PAIR_DTYPE.itemsize
+
+
+def _deflate_bound(n: int) -> int:
+    """Worst-case zlib output for n input bytes (zlib's compressBound)."""
+    return n + (n >> 12) + (n >> 14) + (n >> 25) + 13
+
+
+def _open_body(msg_type: int, codec: int, body: bytes, limit: int | None) -> Message:
+    """Undo the codec, inflating at most `limit` bytes, then decode the body."""
+    if codec == Codec.BLOCK:
+        inflater = zlib.decompressobj()
+        try:
+            body = inflater.decompress(body, 0 if limit is None else limit + 1)
+        except zlib.error as exc:
+            raise FrameLengthError(f"bad compressed body: {exc}") from exc
+        if limit is not None and len(body) > limit:
+            raise FrameLengthError(f"compressed body inflates past {limit} bytes")
+        if not inflater.eof:
+            raise FrameLengthError("bad compressed body: truncated stream")
+    elif codec != Codec.NONE:
+        raise UnknownCodecError(f"unknown codec {codec}")
+    return _decode_body(msg_type, body)
 
 
 def encode_frame(msg: Message, codec: Codec = Codec.NONE) -> bytes:
@@ -235,15 +246,7 @@ def decode_frame(data: bytes) -> tuple[Message, int]:
     end = HEADER.size + body_len
     if len(data) < end:
         raise TruncatedFrameError(f"body needs {body_len} bytes, have {len(data) - HEADER.size}")
-    body = data[HEADER.size : end]
-    if codec == Codec.BLOCK:
-        try:
-            body = zlib.decompress(body)
-        except zlib.error as exc:
-            raise FrameLengthError(f"bad compressed body: {exc}") from exc
-    elif codec != Codec.NONE:
-        raise UnknownCodecError(f"unknown codec {codec}")
-    return _decode_body(msg_type, body), end
+    return _open_body(msg_type, codec, data[HEADER.size : end], None), end
 
 
 def decode_stream(data: bytes) -> list[Message]:
@@ -260,22 +263,29 @@ def decode_stream(data: bytes) -> list[Message]:
 class MessageStream:
     """Framed, full-duplex message exchange over a connected socket.
 
-    One reader and one writer thread per connection; concurrent senders are
-    serialized by a lock.  Byte counters feed the bandwidth estimate.
+    Not thread-safe: one thread sends and one thread receives.  Byte
+    counters feed the bandwidth estimate.
     """
 
-    def __init__(self, sock: socket.socket, codec: Codec = Codec.NONE) -> None:
+    def __init__(self, sock: socket.socket, codec: Codec = Codec.NONE, *, vocab_size: int) -> None:
+        sock.settimeout(FRAME_TIMEOUT_S)
         self._sock = sock
         self._codec = codec
-        self._send_lock = threading.Lock()
+        self._max_body = max_body_len(vocab_size)
+        self._max_wire = _deflate_bound(self._max_body)
         self.bytes_sent = 0
         self.bytes_received = 0
 
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
     def send(self, msg: Message) -> int:
         frame = encode_frame(msg, self._codec)
-        with self._send_lock:
+        try:
             self._sock.sendall(frame)
-            self.bytes_sent += len(frame)
+        except OSError as exc:
+            raise ConnectionClosedError(f"send failed: {exc}") from exc
+        self.bytes_sent += len(frame)
         return len(frame)
 
     def _recv_exact(self, n: int, *, mid_frame: bool) -> bytes:
@@ -284,6 +294,10 @@ class MessageStream:
         while got < n:
             try:
                 chunk = self._sock.recv(n - got)
+            except TimeoutError as exc:
+                if got or mid_frame:
+                    raise TruncatedFrameError(f"peer stalled {n - got} bytes short") from exc
+                raise ConnectionClosedError(f"peer silent for {FRAME_TIMEOUT_S} s") from exc
             except OSError as exc:
                 raise ConnectionClosedError(f"socket error: {exc}") from exc
             if not chunk:
@@ -297,16 +311,11 @@ class MessageStream:
     def recv(self) -> Message:
         header = self._recv_exact(HEADER.size, mid_frame=False)
         msg_type, codec, body_len = HEADER.unpack(header)
+        if body_len > self._max_wire:
+            raise FrameLengthError(f"body of {body_len} bytes exceeds the {self._max_wire} limit")
         body = self._recv_exact(body_len, mid_frame=True) if body_len else b""
         self.bytes_received += HEADER.size + body_len
-        if codec == Codec.BLOCK:
-            try:
-                body = zlib.decompress(body)
-            except zlib.error as exc:
-                raise FrameLengthError(f"bad compressed body: {exc}") from exc
-        elif codec != Codec.NONE:
-            raise UnknownCodecError(f"unknown codec {codec}")
-        return _decode_body(msg_type, body)
+        return _open_body(msg_type, codec, body, self._max_body)
 
     def close(self) -> None:
         try:
@@ -319,8 +328,11 @@ class MessageStream:
 class DelayedInbox:
     """Delivers received messages only after a fixed one-way delay.
 
-    A pump thread drains the socket at full speed and schedules each message
-    on a due-time heap, so injected latency never throttles throughput.
+    Runs on the caller's thread.  `recv` waits on the socket and on a
+    wake-up socket pair at once; each frame read gets its due time stamped
+    on arrival and goes on a heap, and the socket is drained whenever it is
+    readable, so injected latency applies once, never per message.  `wake`,
+    safe from any thread, makes a waiting `recv` return None.
     """
 
     def __init__(self, stream: MessageStream, delay_ms: float = 0.0) -> None:
@@ -328,54 +340,68 @@ class DelayedInbox:
         self._delay_s = delay_ms / 1000.0
         self._heap: list[tuple[float, int, Message]] = []
         self._seq = 0
-        self._cond = threading.Condition()
-        self._stopped: Exception | None = None
-        self._thread = threading.Thread(target=self._pump, name="inbox-pump", daemon=True)
-        self._thread.start()
+        self._bye = False
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        self._selector.register(stream.fileno(), selectors.EVENT_READ)
 
-    def _pump(self) -> None:
+    def wake(self) -> None:
         try:
-            while True:
-                msg = self._stream.recv()
-                due = time.perf_counter() + self._delay_s
-                with self._cond:
-                    heapq.heappush(self._heap, (due, self._seq, msg))
-                    self._seq += 1
-                    self._cond.notify_all()
-                if isinstance(msg, Bye):
-                    break
-        except TransportError as exc:
-            with self._cond:
-                self._stopped = exc
-                self._cond.notify_all()
-        else:
-            with self._cond:
-                self._stopped = ConnectionClosedError("stream ended after bye")
-                self._cond.notify_all()
+            self._wake_w.send(b"\0")
+        except BlockingIOError:
+            pass  # a wake-up is already pending
 
-    def recv(self, timeout: float | None = None) -> Message:
+    def _read_frame(self) -> None:
+        msg = self._stream.recv()
+        heapq.heappush(self._heap, (time.perf_counter() + self._delay_s, self._seq, msg))
+        self._seq += 1
+        if isinstance(msg, Bye):
+            self._bye = True  # the peer may close next; read no further
+            self._selector.unregister(self._stream.fileno())
+
+    def recv(self, timeout: float | None = None) -> Message | None:
+        """Next due message; None if woken first; TimeoutError after timeout."""
         deadline = None if timeout is None else time.perf_counter() + timeout
-        with self._cond:
-            while True:
-                now = time.perf_counter()
-                if self._heap and self._heap[0][0] <= now:
-                    return heapq.heappop(self._heap)[2]
-                if self._heap:
-                    wait = self._heap[0][0] - now
-                elif self._stopped is not None:
-                    raise self._stopped
+        while True:
+            now = time.perf_counter()
+            if self._heap and self._heap[0][0] <= now:
+                return heapq.heappop(self._heap)[2]
+            if self._heap:
+                wait = self._heap[0][0] - now
+            elif self._bye:
+                raise ConnectionClosedError("stream ended after bye")
+            else:
+                wait = None
+            if deadline is not None:
+                remaining = deadline - now
+                if remaining <= 0:
+                    raise TimeoutError("no message within timeout")
+                wait = remaining if wait is None else min(wait, remaining)
+            woken = False
+            for key, _ in self._selector.select(wait):
+                if key.fileobj is self._wake_r:
+                    while True:
+                        try:
+                            self._wake_r.recv(4096)
+                        except BlockingIOError:
+                            break
+                    woken = True
                 else:
-                    wait = None
-                if deadline is not None:
-                    remaining = deadline - now
-                    if remaining <= 0:
-                        raise TimeoutError("no message within timeout")
-                    wait = remaining if wait is None else min(wait, remaining)
-                self._cond.wait(timeout=wait)
+                    self._read_frame()
+            if woken:
+                return None
+
+    def close(self) -> None:
+        self._selector.close()
+        self._wake_r.close()
+        self._wake_w.close()
 
 
 def listen_once(
-    host: str, port: int, timeout: float = 30.0, codec: Codec = Codec.NONE
+    host: str, port: int, timeout: float = 30.0, codec: Codec = Codec.NONE, *, vocab_size: int
 ) -> tuple[MessageStream, int]:
     """Accept exactly one peer; returns the stream and the bound port."""
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -389,11 +415,11 @@ def listen_once(
     finally:
         server.close()
     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return MessageStream(conn, codec), bound_port
+    return MessageStream(conn, codec, vocab_size=vocab_size), bound_port
 
 
 def connect(
-    host: str, port: int, timeout: float = 30.0, codec: Codec = Codec.NONE
+    host: str, port: int, timeout: float = 30.0, codec: Codec = Codec.NONE, *, vocab_size: int
 ) -> MessageStream:
     """Connect to a listening peer, retrying briefly while it comes up."""
     deadline = time.perf_counter() + timeout
@@ -401,7 +427,7 @@ def connect(
         try:
             sock = socket.create_connection((host, port), timeout=timeout)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            return MessageStream(sock, codec)
+            return MessageStream(sock, codec, vocab_size=vocab_size)
         except OSError:
             if time.perf_counter() >= deadline:
                 raise

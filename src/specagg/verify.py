@@ -322,14 +322,17 @@ def suite_strategies(
     return results
 
 
+FUZZ_VOCAB = 60_000  # random drafts use vocabularies below this size
+
+
 def random_message(rng: np.random.Generator) -> transport.Message:
-    kind = int(rng.integers(6))
+    kind = int(rng.integers(5))
     if kind == 0:
         return transport.Hello()
     if kind == 1:
         return transport.Bye()
     if kind == 2:
-        vocab_size = int(rng.integers(4, 60_000))
+        vocab_size = int(rng.integers(4, FUZZ_VOCAB))
         count = int(rng.integers(1, min(64, vocab_size)))
         ids = np.sort(rng.choice(vocab_size, size=count, replace=False)).astype(np.uint32)
         raw = rng.dirichlet(np.ones(count)).astype(np.float16)
@@ -351,16 +354,10 @@ def random_message(rng: np.random.Generator) -> transport.Message:
             accept_r=bool(rng.integers(2)),
             switch_to=switch,
         )
-    if kind == 4:
-        return transport.SwitchMsg(
-            step=int(rng.integers(0, 2**31)),
-            to=Side.DEVICE if rng.integers(2) else Side.CLOUD,
-        )
     return transport.ProbeMsg(
         kind=transport.ProbeKind(int(rng.integers(3))),
         seq=int(rng.integers(0, 2**31)),
         t_send=float(rng.random() * 1e6),
-        payload=bytes(rng.integers(0, 256, size=int(rng.integers(0, 32))).astype(np.uint8)),
     )
 
 

@@ -1,7 +1,11 @@
+import socket
+import sys
 import threading
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from specagg.common import Side
 from specagg.retrieval import random_corpus
@@ -12,7 +16,7 @@ from specagg.runtime import (
     run_node,
     sequential_reference,
 )
-from specagg.transport import Codec
+from specagg.transport import Codec, DelayedInbox, MessageStream
 
 
 def base_config(**overrides) -> NodeConfig:
@@ -124,6 +128,79 @@ class TestLoopback:
     def test_latencies_nonnegative(self):
         device, _ = run_loopback_pair(base_config(max_new_tokens=16))
         assert all(e.latency_ms >= 0.0 for e in device.target_log)
+
+
+MODES = {
+    "adaptive": {},
+    "static-device": {"static_side": Side.DEVICE},
+    "static-cloud": {"static_side": Side.CLOUD},
+    "vanilla": {"vanilla": True},
+}
+
+
+class TestEventLoop:
+    def test_one_thread_per_node(self, monkeypatch):
+        started: list[tuple[str, str]] = []
+        original = threading.Thread.start
+
+        def recording_start(thread):
+            started.append((threading.current_thread().name, thread.name))
+            original(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        run_loopback_pair(base_config(max_new_tokens=8))
+        for side in Side:
+            assert [t for by, t in started if by == f"node-{side}"] == [f"decode-{side}"]
+
+        started.clear()
+        near, far = socket.socketpair()
+        stream = MessageStream(near, vocab_size=256)
+        DelayedInbox(stream, delay_ms=5.0).close()
+        assert started == []
+        stream.close()
+        far.close()
+
+    def test_oracle_under_fast_thread_switching(self):
+        # four threads on two nodes; switching every 10 us shakes out any
+        # state the loop and the decode worker would share unguarded
+        cfg = base_config(max_new_tokens=32, queue_capacity=2)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            device, cloud = run_loopback_pair(cfg)
+        finally:
+            sys.setswitchinterval(previous)
+        assert keys(device.target_log) == keys(cloud.target_log) == keys(sequential_reference(cfg))
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        seed=st.integers(0, 2**16),
+        top_p=st.sampled_from([0.5, 0.8, 0.95, 1.0]),
+        queue_capacity=st.integers(1, 8),
+        mode=st.sampled_from(sorted(MODES)),
+        decode_delay_ms=st.sampled_from([0.0, 1.0, 2.0]),
+        link_delay_ms=st.sampled_from([0.0, 1.0, 2.0]),
+    )
+    def test_distributed_equals_oracle(
+        self, seed, top_p, queue_capacity, mode, decode_delay_ms, link_delay_ms
+    ):
+        cfg = base_config(
+            max_new_tokens=12,
+            seed=seed,
+            top_p=top_p,
+            queue_capacity=queue_capacity,
+            decode_delay_ms=decode_delay_ms,
+            link_delay_ms=link_delay_ms,
+            **MODES[mode],
+        )
+        reference = keys(sequential_reference(cfg))
+        device, cloud = run_loopback_pair(cfg)
+        assert keys(device.target_log) == reference
+        assert keys(cloud.target_log) == reference
 
 
 class TestFailFast:

@@ -9,21 +9,8 @@ from specagg.scheduler import (
     choose_side,
     delta_z,
     latency_per_token,
-    phi,
     theoretical_speedup,
 )
-
-
-class TestPhi:
-    def test_fully_elapsed(self):
-        assert phi(5.0, 0.0, 10.0) == 0.0
-
-    def test_partially_elapsed(self):
-        assert phi(5.0, 0.0, 2.0) == 3.0
-
-    def test_zero_duration(self):
-        assert phi(0.0, 3.0, 3.0) == 0.0
-        assert phi(0.0, 0.0, 100.0) == 0.0
 
 
 class TestLatencyPerToken:

@@ -62,6 +62,34 @@ class TestTrace:
         with pytest.raises(ValueError):
             AcceptanceTrace(flags=())
 
+    def test_metrics_csv_read_by_header(self, tmp_path):
+        path = tmp_path / "device.csv"
+        path.write_text(
+            "step,token,accept_l,accept_r,latency_ms\n"
+            "0,17,1,0,0.000\n1,1,0,1,2.500\n2,9,1,1,3.125\n"
+        )
+        assert AcceptanceTrace.load_csv(path).flags == (
+            (True, False), (False, True), (True, True)
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "step,token,accept_l,accept_r,latency_ms\n0,17,1,0,0.0\n1,1,0,1,2.5\n3,9,1,1,3.1\n",
+            "step,accept_l,accept_r\n1,1,0\n",
+            "step,accept_l,accept_r\n0,1,0\n0,1,1\n",
+            "step,accept_l,accept_r\n0,1,2\n",
+            "step,a,b\n0,1,0\n",
+            "0,1,0\n1,0,1\n",
+        ],
+        ids=["gap", "late-start", "repeat", "bad-flag", "unknown-schema", "headerless"],
+    )
+    def test_malformed_csv_rejected(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            AcceptanceTrace.load_csv(path)
+
 
 STEADY_CASES = [
     ("reject-l/accept-r", CostVector(1.0, 1.5, 1.2, 1.8), (False, True), 1.5),

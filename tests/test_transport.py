@@ -1,13 +1,16 @@
 import socket
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
 
 from specagg.common import Side
 from specagg.dists import CompressedDist
+from specagg import transport
 from specagg.transport import (
+    HEADER,
     Bye,
     Codec,
     ConnectionClosedError,
@@ -15,11 +18,9 @@ from specagg.transport import (
     DraftMsg,
     FrameLengthError,
     Hello,
-    MessageStream,
     MsgType,
     ProbeKind,
     ProbeMsg,
-    SwitchMsg,
     TargetMsg,
     TruncatedFrameError,
     UnknownCodecError,
@@ -30,7 +31,7 @@ from specagg.transport import (
     encode_frame,
     listen_once,
 )
-from specagg.verify import random_message
+from specagg.verify import FUZZ_VOCAB, random_message
 
 
 def two_pair_dist():
@@ -76,9 +77,10 @@ class TestRoundTrips:
         assert decoded == msg
 
     def test_switch_and_probe(self):
+        # the aggregator switch rides on the outcome; probes carry no payload
         for msg in (
-            SwitchMsg(step=2, to=Side.CLOUD),
-            ProbeMsg(kind=ProbeKind.ROLLBACK_ACK, seq=11, t_send=123.5, payload=b"xy"),
+            TargetMsg(step=2, target=5, accept_l=True, accept_r=True, switch_to=Side.CLOUD),
+            *(ProbeMsg(kind=kind, seq=11, t_send=123.5) for kind in ProbeKind),
         ):
             decoded, _ = decode_frame(encode_frame(msg))
             assert decoded == msg
@@ -115,8 +117,9 @@ class TestErrors:
             decode_frame(frame[:-3])
 
     def test_unknown_type(self):
-        with pytest.raises(UnknownMessageTypeError):
-            decode_frame(bytes([99, 0, 0, 0, 0, 0]))
+        for msg_type in (99, 3):  # 3 was the retired switch message
+            with pytest.raises(UnknownMessageTypeError):
+                decode_frame(bytes([msg_type, 0, 0, 0, 0, 0]))
 
     def test_unknown_codec(self):
         with pytest.raises(UnknownCodecError):
@@ -158,7 +161,7 @@ class TestSizeDiscipline:
         assert len(encode_frame(msg)) * 400 < dense_bytes
 
 
-def loopback_pair():
+def loopback_pair(vocab_size=FUZZ_VOCAB):
     result = {}
 
     # bind a real port first so the client knows where to go
@@ -168,11 +171,11 @@ def loopback_pair():
     probe.close()
 
     def serve_on_port():
-        result["server"], _ = listen_once("127.0.0.1", port)
+        result["server"], _ = listen_once("127.0.0.1", port, vocab_size=vocab_size)
 
     thread = threading.Thread(target=serve_on_port, daemon=True)
     thread.start()
-    client = connect("127.0.0.1", port)
+    client = connect("127.0.0.1", port, vocab_size=vocab_size)
     thread.join(timeout=5.0)
     return client, result["server"]
 
@@ -233,6 +236,7 @@ class TestLiveStream:
         elapsed_ms = (time.perf_counter() - sent_at) * 1000.0
         assert isinstance(got, Hello)
         assert elapsed_ms >= 300.0
+        inbox.close()
         client.close()
         server.close()
 
@@ -248,5 +252,69 @@ class TestLiveStream:
         assert [m.step for m in got] == list(range(n))
         # latency applies once, not per message
         assert elapsed_ms < 2 * 200.0
+        inbox.close()
+        client.close()
+        server.close()
+
+
+class TestFrameBounds:
+    """A stream bounds each frame by the largest legal one for its vocabulary."""
+
+    VOCAB = 16
+
+    def test_limit_is_a_full_draft(self):
+        ids = np.arange(self.VOCAB, dtype=np.uint32)
+        values = np.full(self.VOCAB, 1.0 / self.VOCAB, dtype=np.float16)
+        full = DraftMsg(
+            step=0, token=0, h=0.0, decode_ms=1.0,
+            dist=CompressedDist(vocab_size=self.VOCAB, token_ids=ids, values=values),
+        )
+        assert len(encode_frame(full)) - HEADER.size == transport.max_body_len(self.VOCAB)
+        client, server = loopback_pair(self.VOCAB)
+        client.send(full)
+        assert server.recv() == full
+        client.close()
+        server.close()
+
+    def test_oversized_header_rejected_before_reading(self):
+        client, server = loopback_pair(self.VOCAB)
+        # announces 1 GB but sends nothing more: the check must not wait for it
+        client._sock.sendall(HEADER.pack(MsgType.DRAFT, Codec.NONE, 1 << 30))
+        with pytest.raises(FrameLengthError, match="exceeds"):
+            server.recv()
+        assert server.bytes_received == 0
+        client.close()
+        server.close()
+
+    def test_inflation_capped(self):
+        client, server = loopback_pair(self.VOCAB)
+        bomb = zlib.compress(bytes(100_000))
+        assert len(bomb) < transport.max_body_len(self.VOCAB)
+        client._sock.sendall(HEADER.pack(MsgType.DRAFT, Codec.BLOCK, len(bomb)) + bomb)
+        with pytest.raises(FrameLengthError, match="inflates"):
+            server.recv()
+        client.close()
+        server.close()
+
+    def test_truncated_compressed_body(self):
+        body = zlib.compress(b"")[:-4]  # adler32 trailer cut off
+        with pytest.raises(FrameLengthError):
+            decode_frame(HEADER.pack(MsgType.HELLO, Codec.BLOCK, len(body)) + body)
+
+    def test_same_timeout_on_both_roles(self):
+        client, server = loopback_pair(self.VOCAB)
+        assert client._sock.gettimeout() == server._sock.gettimeout() == transport.FRAME_TIMEOUT_S
+        client.close()
+        server.close()
+
+    def test_stall_mid_frame_times_out(self, monkeypatch):
+        monkeypatch.setattr(transport, "FRAME_TIMEOUT_S", 0.2)
+        client, server = loopback_pair(self.VOCAB)
+        frame = encode_frame(TargetMsg(step=1, target=2, accept_l=True, accept_r=True))
+        client._sock.sendall(frame[:8])  # header + 2 body bytes, then silence
+        started = time.perf_counter()
+        with pytest.raises(TruncatedFrameError):
+            server.recv()
+        assert time.perf_counter() - started < 5.0
         client.close()
         server.close()
