@@ -21,7 +21,13 @@ import numpy as np
 
 from .common import ProtocolError
 from .decoder import DraftRecord
-from .dists import LogDist, eta_log_weights, inverse_cdf_sample, lk_divergence
+from .dists import (
+    LogDist,
+    VocabMismatchError,
+    eta_log_weights,
+    inverse_cdf_sample,
+    lk_divergence,
+)
 from .rng import AggregationDraws
 
 
@@ -51,19 +57,24 @@ def speculative_sample(
     """Keep x, or resample from norm(max(0, p_b - p_a)) on rejection.
 
     Rejection fires only when p_a(x) > p_b(x), with probability
-    eta * (1 - p_b(x)/p_a(x)); eta = 0 therefore always keeps x.
+    eta * (1 - p_b(x)/p_a(x)); eta = 0 therefore always keeps x.  Both
+    lookups are binary searches.  The residual is zero wherever p_b is, so
+    it is built over p_b's support: of the union of the two supports, only
+    those ids can carry residual mass.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    la = float(p_a.logp[x])
-    lb = float(p_b.logp[x])
+    if p_a.vocab != p_b.vocab:
+        raise VocabMismatchError(f"{p_a.vocab} != {p_b.vocab}")
+    la = p_a.logp_of(x)
+    lb = p_b.logp_of(x)
     if la == -math.inf:
         raise ValueError(f"draft token {x} has zero probability under its own stream")
     if la > lb and u_reject < eta * (1.0 - math.exp(lb - la)):
-        residual = np.clip(p_b.probs() - p_a.probs(), 0.0, None)
+        residual = np.maximum(p_b.support_probs() - p_a.probs_at(p_b.token_ids), 0.0)
         # zero residual would require p_a == p_b, which cannot reject
         assert residual.sum() > 0.0, "rejected with empty adjusted distribution"
-        return inverse_cdf_sample(residual, u_resample)
+        return int(p_b.token_ids[inverse_cdf_sample(residual, u_resample)])
     return x
 
 

@@ -7,6 +7,10 @@ document, a categorical seeded by (doc id, previous token) stands in.  This
 keeps the two sides' distributions genuinely different yet fully
 reproducible from (context, documents, scores, seed) alone.  The decoder has
 no hidden state, so rolling back is just truncating the context.
+
+Either way a conditional's support is the document's distinct tokens, so a
+mixture of k documents has at most k * chunk_size ids whatever the
+vocabulary size, and the decoder works on those ids alone.
 """
 
 from __future__ import annotations
@@ -105,8 +109,12 @@ class DecoderState:
 
 
 @lru_cache(maxsize=4096)
-def _conditional(doc: Document, prev: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Sparse next-token probabilities for one document. Cached: pure function."""
+def _conditional(doc: Document, prev: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse p(next | doc, previous token): (ascending ids, log-probs).
+
+    Cached: pure function; the arrays are read-only because every caller
+    shares them.
+    """
     support = tuple(sorted(set(doc.tokens)))
     counts = {t: 0 for t in support}
     row_total = 0
@@ -119,16 +127,11 @@ def _conditional(doc: Document, prev: int) -> tuple[tuple[int, ...], tuple[float
     else:
         rng = np.random.default_rng(derive_seed(doc.id, "fallback", prev))
         weights = rng.exponential(size=len(support))
-    weights = weights / weights.sum()
-    return support, tuple(float(w) for w in weights)
-
-
-def doc_conditional(doc: Document, prev: int, vocab: Vocab) -> np.ndarray:
-    """Full log-prob vector for p(next | doc, previous token)."""
-    support, weights = _conditional(doc, prev)
-    logp = np.full(vocab.size, -np.inf)
-    logp[list(support)] = np.log(weights)
-    return logp
+    ids = np.array(support, dtype=np.int64)
+    logp = np.log(weights / weights.sum())
+    ids.setflags(write=False)
+    logp.setflags(write=False)
+    return ids, logp
 
 
 def rerank(state: DecoderState) -> np.ndarray:
@@ -149,19 +152,32 @@ def corrected_weight(state: DecoderState) -> float:
 
 
 def local_mixture(state: DecoderState) -> LogDist:
-    """Per-side mixture: softmax(scores) over per-document conditionals."""
+    """Per-side mixture: softmax(scores) over per-document conditionals.
+
+    The (k, |union of supports|) table holds the same columns as a dense
+    (k, V) table would, minus the all-zero ones, so each mixed log-prob is
+    computed by the same arithmetic.
+    """
     prev = state.context[-1]
     log_w = state.scores - logsumexp(state.scores)
-    table = np.stack([doc_conditional(doc, prev, state.vocab) for doc in state.docs])
-    mixed = logsumexp(table + log_w[:, None], axis=0)
-    return LogDist(state.vocab, np.asarray(mixed) - logsumexp(np.asarray(mixed)))
+    rows = [_conditional(doc, prev) for doc in state.docs]
+    row_ids = np.concatenate([r_ids for r_ids, _ in rows])
+    # sort and dedupe by hand: np.unique's first call imports numpy.ma (~12 ms)
+    ids = np.sort(row_ids)
+    ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+    row_of = np.repeat(np.arange(len(rows)), [r_ids.size for r_ids, _ in rows])
+    table = np.full((len(rows), ids.size), -np.inf)
+    table[row_of, ids.searchsorted(row_ids)] = np.concatenate([r_logp for _, r_logp in rows])
+    mixed = np.asarray(logsumexp(table + log_w[:, None], axis=0))
+    return LogDist.from_support(state.vocab, ids, mixed - logsumexp(mixed))
 
 
 def decode_step(state: DecoderState, rng_draw: float) -> DraftRecord:
     """Draft one token from the locally-aggregated mixture and extend context.
 
-    The token is picked by inverse CDF over ascending token id, so the single
-    uniform reproduces the draw bit-exactly in any implementation.
+    The token is picked by inverse CDF over the support in ascending token
+    id, so the single uniform reproduces the draw bit-exactly in any
+    implementation; zero-mass tokens would add exactly 0.0 to the cumsum.
     """
     if len(state.context) >= state.max_context:
         raise ContextExhaustedError(
@@ -169,7 +185,7 @@ def decode_step(state: DecoderState, rng_draw: float) -> DraftRecord:
         )
     started = time.perf_counter()
     dist = local_mixture(state)
-    token = inverse_cdf_sample(dist.probs(), rng_draw)
+    token = int(dist.token_ids[inverse_cdf_sample(dist.support_probs(), rng_draw)])
     h = corrected_weight(state)
     step = state.gen_step
     state.context.append(token)

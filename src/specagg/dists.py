@@ -1,13 +1,17 @@
-"""Vocabulary-indexed log-probability vectors and the operations on them.
+"""Distributions over a token vocabulary and the operations on them.
 
-Everything downstream manipulates distributions in natural-log space: the
-two-stream interpolation, its softmax weights, the overlap divergence, and
-the sparse top-p codec used on the wire.  Linear probabilities only appear
-where a CDF is unavoidable (sampling, codec) and in test oracles.
+A distribution is carried as its sorted support: the ascending ids of the
+tokens with nonzero probability and their natural-log probabilities.  A
+side's mixture has at most k * chunk_size such ids whatever the vocabulary
+size, and the runtime (mixture, sampling, top-p codec, aggregation) works on
+the support alone.  Dense vocabulary-length views exist for the analysis
+functions (interpolation, overlap divergence) and test oracles.  Linear
+probabilities only appear where a CDF is unavoidable (sampling, codec).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +20,7 @@ import numpy as np
 NORM_TOL = 1e-6
 # f16 rounding can push the kept mass slightly above 1.
 COMPRESSED_SUM_BOUND = 1.0 + 2.0**-9
+F16_TINY = 2.0**-24  # smallest positive float16
 
 
 class VocabMismatchError(ValueError):
@@ -35,48 +40,90 @@ class Vocab:
 
 def logsumexp(logs: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     """Stable log(sum(exp(logs))); handles -inf entries and all--inf input."""
-    m = np.max(logs, axis=axis, keepdims=axis is not None)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = m_safe + np.log(np.sum(np.exp(logs - m_safe), axis=axis, keepdims=axis is not None))
-    out = np.where(np.isfinite(m), out, m)
+    keep = axis is not None
+    m = np.max(logs, axis=axis, keepdims=keep)
+    finite = np.isfinite(m)
+    if finite.all():
+        # the common case: a finite maximum, so no guard is needed
+        out = m + np.log(np.sum(np.exp(logs - m), axis=axis, keepdims=keep))
+    else:
+        m_safe = np.where(finite, m, 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = m_safe + np.log(np.sum(np.exp(logs - m_safe), axis=axis, keepdims=keep))
+        out = np.where(finite, out, m)
     if axis is None:
         return float(out)
     return np.squeeze(out, axis=axis)
 
 
-@dataclass(frozen=True, eq=False)
 class LogDist:
-    """A normalized distribution over a vocabulary, stored as log-probs.
+    """A normalized distribution over a vocabulary, stored as its support.
 
-    Entries may be -inf (zero probability); logsumexp(logp) must be 0 within
-    NORM_TOL.  Instances are immutable and safe to share between threads.
+    `token_ids` lists the tokens of nonzero probability in ascending order and
+    `support_logp` their log-probs; every other token has probability 0, and
+    logsumexp(support_logp) is 0 within NORM_TOL.  The runtime only ever
+    touches the support, so its cost per token does not grow with the
+    vocabulary.  `logp` and `probs()` are dense views for the analysis
+    functions and tests, which run on small vocabularies.  Instances are
+    immutable and safe to share between threads.
     """
 
-    vocab: Vocab
-    logp: np.ndarray
+    def __init__(self, vocab: Vocab, logp: np.ndarray) -> None:
+        """Dense constructor: one log-prob per token, -inf for zero mass."""
+        logp = np.asarray(logp, dtype=np.float64)
+        if logp.shape != (vocab.size,):
+            raise ValueError(f"logp shape {logp.shape} != ({vocab.size},)")
+        ids = np.flatnonzero(logp != -np.inf)
+        self._set(vocab, ids, logp[ids])
+
+    @classmethod
+    def from_support(cls, vocab: Vocab, token_ids: np.ndarray, logp: np.ndarray) -> "LogDist":
+        """Sparse constructor: strictly increasing ids and their finite log-probs."""
+        dist = cls.__new__(cls)
+        dist._set(vocab, np.asarray(token_ids, dtype=np.int64), np.asarray(logp, dtype=np.float64))
+        return dist
+
+    def _set(self, vocab: Vocab, ids: np.ndarray, logp: np.ndarray) -> None:
+        if ids.ndim != 1 or ids.shape != logp.shape:
+            raise ValueError("token_ids and logp must be 1-d and congruent")
+        if not np.isfinite(logp).all():
+            if np.isnan(logp).any():
+                raise ValueError("logp contains NaN")
+            if np.isposinf(logp).any():
+                raise ValueError("logp contains +inf")
+            raise ValueError("support log-prob is -inf")
+        if ids.size == 0:
+            raise ValueError("distribution not normalized: empty support")
+        if (ids[1:] <= ids[:-1]).any():
+            raise ValueError("token ids must be strictly increasing")
+        if ids[0] < 0 or ids[-1] >= vocab.size:
+            raise ValueError("token id outside vocabulary")
+        total = logsumexp(logp)
+        if not math.isfinite(total) or abs(total) > NORM_TOL:
+            raise ValueError(f"distribution not normalized: logsumexp={total!r}")
+        ids.setflags(write=False)
+        logp.setflags(write=False)
+        object.__setattr__(self, "vocab", vocab)
+        object.__setattr__(self, "token_ids", ids)
+        object.__setattr__(self, "support_logp", logp)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"LogDist is immutable; cannot set {name}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogDist):
             return NotImplemented
-        return self.vocab == other.vocab and np.array_equal(self.logp, other.logp)
+        return (
+            self.vocab == other.vocab
+            and np.array_equal(self.token_ids, other.token_ids)
+            and np.array_equal(self.support_logp, other.support_logp)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.vocab, self.logp.tobytes()))
+        return hash((self.vocab, self.token_ids.tobytes(), self.support_logp.tobytes()))
 
-    def __post_init__(self) -> None:
-        logp = np.asarray(self.logp, dtype=np.float64)
-        if logp.shape != (self.vocab.size,):
-            raise ValueError(f"logp shape {logp.shape} != ({self.vocab.size},)")
-        if np.isnan(logp).any():
-            raise ValueError("logp contains NaN")
-        if np.isposinf(logp).any():
-            raise ValueError("logp contains +inf")
-        total = logsumexp(logp)
-        if not math.isfinite(total) or abs(total) > NORM_TOL:
-            raise ValueError(f"distribution not normalized: logsumexp={total!r}")
-        logp.setflags(write=False)
-        object.__setattr__(self, "logp", logp)
+    def __repr__(self) -> str:
+        return f"LogDist(vocab={self.vocab.size}, support={self.token_ids.size})"
 
     @classmethod
     def from_probs(cls, vocab: Vocab, probs: np.ndarray) -> "LogDist":
@@ -96,16 +143,42 @@ class LogDist:
 
     @classmethod
     def one_hot(cls, vocab: Vocab, token: int) -> "LogDist":
-        logp = np.full(vocab.size, -np.inf)
-        logp[token] = 0.0
-        return cls(vocab, logp)
+        return cls.from_support(vocab, [token], [0.0])
+
+    @functools.cached_property
+    def logp(self) -> np.ndarray:
+        """Dense read-only view: one log-prob per token, -inf off the support."""
+        out = np.full(self.vocab.size, -np.inf)
+        out[self.token_ids] = self.support_logp
+        out.setflags(write=False)
+        return out
 
     def probs(self) -> np.ndarray:
-        """Linear-space copy; logp <= 0 throughout so exp never overflows."""
+        """Dense linear-space copy; logp <= 0 throughout so exp never overflows."""
         return np.exp(self.logp)
 
+    def support_probs(self) -> np.ndarray:
+        """Linear-space probabilities of `token_ids`, in the same order."""
+        return np.exp(self.support_logp)
+
+    def logp_of(self, token: int) -> float:
+        """Log-prob of one token by binary search; -inf off the support."""
+        pos = int(self.token_ids.searchsorted(token))
+        if pos < self.token_ids.size and self.token_ids[pos] == token:
+            return float(self.support_logp[pos])
+        return -math.inf
+
+    def probs_at(self, tokens: np.ndarray) -> np.ndarray:
+        """Probabilities of the given tokens by binary search; 0 off the support."""
+        pos = self.token_ids.searchsorted(tokens)
+        hit = pos < self.token_ids.size
+        hit[hit] = self.token_ids[pos[hit]] == tokens[hit]
+        out = np.zeros(tokens.shape)
+        out[hit] = np.exp(self.support_logp[pos[hit]])
+        return out
+
     def prob(self, token: int) -> float:
-        return float(np.exp(self.logp[token]))
+        return math.exp(self.logp_of(token))
 
 
 @dataclass(frozen=True)
@@ -226,11 +299,12 @@ def topp_encode(
 
     Ties in probability break toward the lower token id.  The boundary is
     inclusive (cumulative >= threshold).  force_token, when given, is always
-    part of the kept set regardless of its mass.
+    part of the kept set regardless of its mass.  Only the support is sorted.
+    Kept masses too small for f16 are raised to F16_TINY.
     """
     if not 0.0 < p_threshold <= 1.0:
         raise ValueError(f"p_threshold must be in (0, 1], got {p_threshold}")
-    probs = p.probs()
+    probs = p.support_probs()
     nonzero = np.flatnonzero(probs > 0.0)
     if nonzero.size == 0:
         raise ValueError("empty distribution")
@@ -243,32 +317,30 @@ def topp_encode(
         cut = int(np.searchsorted(cum, p_threshold - 1e-12, side="left")) + 1
         keep = order[:cut]
         keep = keep[probs[keep] > 0.0]
-    if force_token is not None and force_token not in keep:
-        if probs[force_token] <= 0.0:
+    if force_token is not None:
+        pos = int(np.searchsorted(p.token_ids, force_token))
+        if pos == p.token_ids.size or p.token_ids[pos] != force_token or probs[pos] <= 0.0:
             raise ValueError(f"cannot force zero-probability token {force_token}")
-        keep = np.append(keep, force_token)
+        if pos not in keep:
+            keep = np.append(keep, pos)
     keep = np.sort(keep)
     return CompressedDist(
         vocab_size=p.vocab.size,
-        token_ids=keep.astype(np.uint32),
-        values=probs[keep].astype(np.float16),
+        token_ids=p.token_ids[keep].astype(np.uint32),
+        # f16 rounds a mass below 2^-25 to 0, which the wire cannot carry, so
+        # a kept token travels with at least the smallest positive f16
+        values=np.maximum(probs[keep], F16_TINY).astype(np.float16),
     )
 
 
 def topp_decode(c: CompressedDist) -> LogDist:
-    """Expand to a full LogDist, renormalizing the kept mass to 1."""
-    probs = np.zeros(c.vocab_size, dtype=np.float64)
-    probs[c.token_ids.astype(np.int64)] = c.values.astype(np.float64)
-    return LogDist.from_probs(Vocab(c.vocab_size), probs)
+    """The kept tokens as a LogDist, their mass renormalized to 1.
 
-
-def wire_canonical(p: LogDist, p_threshold: float, token: int) -> LogDist:
-    """The distribution as every consumer of the wire sees it.
-
-    Both peers aggregate on this canonical form, the drafting side included,
-    so the run's output cannot depend on which side happens to aggregate.
+    Any sum of f16 values below 2 is exact in float64, so the normalizer does
+    not depend on summation order.
     """
-    return topp_decode(topp_encode(p, p_threshold, force_token=token))
+    values = c.values.astype(np.float64)
+    return LogDist.from_support(Vocab(c.vocab_size), c.token_ids, np.log(values / values.sum()))
 
 
 def inverse_cdf_sample(probs: np.ndarray, u: float) -> int:

@@ -61,6 +61,9 @@ PEER_TIMEOUT_S = 120.0  # bound on the handshake, on generation and on the peer'
 # One decode running and the next queued, so the worker never idles waiting
 # for the loop; a deeper queue spends CPU on drafts that a rejection discards.
 DECODES_IN_FLIGHT = 2
+# The aggregator samples the link (an echo probe and a bandwidth reading) on
+# every this-many-th outcome, step 0 included; the estimates move slowly.
+LINK_SAMPLE_EVERY = 16
 
 
 @dataclass(frozen=True)
@@ -466,11 +469,13 @@ class _NodeEngine:
                     switch_to=switch_to,
                 )
             )
-            self._probe_seq += 1
-            self.stream.send(
-                ProbeMsg(ProbeKind.ECHO_REQUEST, seq=self._probe_seq, t_send=time.perf_counter())
-            )
-            self._update_bandwidth(step)
+            if step % LINK_SAMPLE_EVERY == 0:
+                self._probe_seq += 1
+                probe = ProbeMsg(
+                    ProbeKind.ECHO_REQUEST, seq=self._probe_seq, t_send=time.perf_counter()
+                )
+                self.stream.send(probe)
+                self._update_bandwidth()
 
     def _schedule(self, step: int) -> Side | None:
         """Pick the aggregation side for step+1; None means stay put."""
@@ -496,9 +501,7 @@ class _NodeEngine:
         chosen = choose_side(self.role, costs, acc)
         return chosen if chosen is not self.role else None
 
-    def _update_bandwidth(self, step: int) -> None:
-        if step % 16 != 0:
-            return
+    def _update_bandwidth(self) -> None:
         now = time.perf_counter()
         moved = self.stream.bytes_sent + self.stream.bytes_received
         if self._bw_mark is not None:

@@ -8,7 +8,10 @@ Codec 1 wraps the body in zlib; the header length is always the on-wire
 A live stream knows the run's vocabulary, so it rejects a header that
 announces a body larger than the biggest legal frame (a draft keeping every
 token) before reading it, and stops inflating a compressed body at the same
-size.  Socket reads and writes on both roles time out after FRAME_TIMEOUT_S.
+size.  It also rejects a draft over another vocabulary or one whose token is
+not among its kept ids, so a draft that reaches the aggregator can be looked
+up by binary search.  Socket reads and writes on both roles time out after
+FRAME_TIMEOUT_S.
 """
 
 from __future__ import annotations
@@ -80,6 +83,10 @@ class ConnectionClosedError(TransportError):
     """Peer closed the stream at a frame boundary."""
 
 
+class MalformedMessageError(TransportError):
+    """A well-framed body whose fields break the message's invariants."""
+
+
 @dataclass(frozen=True)
 class Hello:
     """Handshake marker; deliberately empty."""
@@ -139,11 +146,14 @@ def _decode_dist(body: bytes, offset: int) -> tuple[CompressedDist, int]:
     if len(body) - offset < nbytes:
         raise FrameLengthError("distribution pairs truncated")
     pairs = np.frombuffer(body, dtype=_PAIR_DTYPE, count=count, offset=offset)
-    dist = CompressedDist(
-        vocab_size=vocab_size,
-        token_ids=pairs["id"].copy(),
-        values=pairs["value"].copy(),
-    )
+    try:
+        dist = CompressedDist(
+            vocab_size=vocab_size,
+            token_ids=pairs["id"].copy(),
+            values=pairs["value"].copy(),
+        )
+    except ValueError as exc:
+        raise MalformedMessageError(f"bad draft distribution: {exc}") from exc
     return dist, offset + nbytes
 
 
@@ -198,7 +208,11 @@ def _decode_body(msg_type: int, body: bytes) -> Message:
         if len(body) != _PROBE.size:
             raise FrameLengthError(f"probe body must be {_PROBE.size} bytes")
         kind, seq, t_send = _PROBE.unpack(body)
-        return ProbeMsg(kind=ProbeKind(kind), seq=seq, t_send=t_send)
+        try:
+            probe_kind = ProbeKind(kind)
+        except ValueError:
+            raise MalformedMessageError(f"unknown probe kind {kind}") from None
+        return ProbeMsg(kind=probe_kind, seq=seq, t_send=t_send)
     raise UnknownMessageTypeError(f"unknown message type {msg_type}")
 
 
@@ -271,6 +285,7 @@ class MessageStream:
         sock.settimeout(FRAME_TIMEOUT_S)
         self._sock = sock
         self._codec = codec
+        self._vocab_size = vocab_size
         self._max_body = max_body_len(vocab_size)
         self._max_wire = _deflate_bound(self._max_body)
         self.bytes_sent = 0
@@ -315,7 +330,21 @@ class MessageStream:
             raise FrameLengthError(f"body of {body_len} bytes exceeds the {self._max_wire} limit")
         body = self._recv_exact(body_len, mid_frame=True) if body_len else b""
         self.bytes_received += HEADER.size + body_len
-        return _open_body(msg_type, codec, body, self._max_body)
+        msg = _open_body(msg_type, codec, body, self._max_body)
+        if isinstance(msg, DraftMsg):
+            self._check_draft(msg)
+        return msg
+
+    def _check_draft(self, msg: DraftMsg) -> None:
+        """A draft must be over this run's vocabulary and keep its own token."""
+        ids = msg.dist.token_ids
+        if msg.dist.vocab_size != self._vocab_size:
+            raise MalformedMessageError(
+                f"draft vocabulary {msg.dist.vocab_size} != stream vocabulary {self._vocab_size}"
+            )
+        pos = int(ids.searchsorted(msg.token))
+        if pos == ids.size or ids[pos] != msg.token:
+            raise MalformedMessageError(f"draft token {msg.token} is not among its kept ids")
 
     def close(self) -> None:
         try:

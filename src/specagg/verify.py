@@ -322,7 +322,7 @@ def suite_strategies(
     return results
 
 
-FUZZ_VOCAB = 60_000  # random drafts use vocabularies below this size
+FUZZ_VOCAB = 60_000  # vocabulary of every random draft, as a stream of this size requires
 
 
 def random_message(rng: np.random.Generator) -> transport.Message:
@@ -332,12 +332,12 @@ def random_message(rng: np.random.Generator) -> transport.Message:
     if kind == 1:
         return transport.Bye()
     if kind == 2:
-        vocab_size = int(rng.integers(4, FUZZ_VOCAB))
-        count = int(rng.integers(1, min(64, vocab_size)))
-        ids = np.sort(rng.choice(vocab_size, size=count, replace=False)).astype(np.uint32)
+        id_bound = int(rng.integers(4, FUZZ_VOCAB))
+        count = int(rng.integers(1, min(64, id_bound)))
+        ids = np.sort(rng.choice(id_bound, size=count, replace=False)).astype(np.uint32)
         raw = rng.dirichlet(np.ones(count)).astype(np.float16)
         values = np.maximum(raw, np.float16(6e-8))  # keep strictly positive after rounding
-        dist = CompressedDist(vocab_size=vocab_size, token_ids=ids, values=values)
+        dist = CompressedDist(vocab_size=FUZZ_VOCAB, token_ids=ids, values=values)
         return transport.DraftMsg(
             step=int(rng.integers(0, 2**31)),
             token=int(ids[rng.integers(count)]),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specagg.aggregator import (
     Resampled,
@@ -58,6 +60,45 @@ class TestSpeculativeSample:
         p = dist([0.5, 0.5])
         with pytest.raises(ValueError):
             speculative_sample(0, p, p, 1.5, 0.5, 0.5)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        relation=st.sampled_from(["overlap", "disjoint", "a-in-b", "b-in-a", "same-ids"]),
+        eta=st.floats(0.0, 1.0),
+        u_reject=st.floats(0.0, 1.0, exclude_max=True),
+        u_resample=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_supports_match_dense_residual(self, seed, relation, eta, u_reject, u_resample):
+        vocab = Vocab(1 << 16)
+        rng = np.random.default_rng(seed)
+        pool = rng.choice(vocab.size, size=48, replace=False)
+        n_a, n_b = (int(n) for n in rng.integers(1, 17, size=2))
+        ids_a, ids_b = {
+            "overlap": (pool[:n_a], pool[n_a // 2 : n_a // 2 + n_b]),
+            "disjoint": (pool[:n_a], pool[24 : 24 + n_b]),
+            "a-in-b": (pool[: min(n_a, n_b)], pool[:n_b]),
+            "b-in-a": (pool[:n_a], pool[: min(n_a, n_b)]),
+            "same-ids": (pool[:n_a], pool[:n_a]),
+        }[relation]
+        ids_a, ids_b = np.sort(ids_a), np.sort(ids_b)
+        p_a = LogDist.from_support(vocab, ids_a, np.log(rng.dirichlet(np.ones(ids_a.size))))
+        p_b = LogDist.from_support(vocab, ids_b, np.log(rng.dirichlet(np.ones(ids_b.size))))
+        x = int(rng.choice(ids_a))
+
+        # dense oracle: the vocabulary-length arithmetic the sparse path replaces
+        dense_a, dense_b = np.zeros(vocab.size), np.zeros(vocab.size)
+        dense_a[ids_a] = np.exp(p_a.support_logp)
+        dense_b[ids_b] = np.exp(p_b.support_logp)
+        expected = x
+        la, lb = p_a.logp[x], p_b.logp[x]
+        if la > lb and u_reject < eta * (1.0 - math.exp(lb - la)):
+            residual = np.clip(dense_b - dense_a, 0.0, None)
+            cdf = np.cumsum(residual)
+            expected = int(np.searchsorted(cdf, u_resample * cdf[-1], side="right"))
+            if expected >= vocab.size:
+                expected = int(np.flatnonzero(residual > 0)[-1])
+        assert speculative_sample(x, p_a, p_b, eta, u_reject, u_resample) == expected
 
 
 class TestAggregate:

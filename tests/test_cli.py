@@ -42,7 +42,7 @@ class TestSimulate:
         )
         assert result.returncode == 0, result.stderr
         assert "steady_ms=2.5" in result.stdout  # max(1.0, 1.5 + 1.0)
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["step", "latency_ms", "agg_side"]
         assert len(rows) == 501
 
@@ -100,7 +100,7 @@ class TestNodeCommand:
         assert device.returncode == 0, device.stderr
         assert cloud.returncode == 0, cloud_err
         assert device_log.read_text() == cloud_log.read_text()
-        rows = list(csv.reader(device_csv.open()))
+        rows = list(csv.reader(device_csv.read_text().splitlines()))
         assert rows[0] == ["step", "token", "accept_l", "accept_r", "latency_ms"]
         assert len(rows) == 21
 
@@ -135,7 +135,7 @@ class TestBench:
             "--max-new-tokens", "8", "--csv", str(out),
         )
         assert result.returncode == 0, result.stderr
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["prompt", "ttft_ms", "per_token_ms", "tokens"]
         assert len(rows) == 3
 
@@ -149,6 +149,6 @@ class TestFitProfile:
         )
         assert result.returncode == 0, result.stderr
         assert "k_a=" in result.stdout and "k_c=" in result.stdout
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["t", "c_dec_ms"]
         assert len(rows) == 1 + (32 - 8)

@@ -7,15 +7,23 @@ from specagg.common import Side
 from specagg.decoder import (
     ContextExhaustedError,
     DecoderState,
+    _conditional,
     corrected_weight,
     decode_step,
-    doc_conditional,
     local_mixture,
     rerank,
     rollback,
 )
 from specagg.dists import Vocab, logsumexp
 from specagg.retrieval import Document, NO_OVERLAP_SCORE, random_corpus, retrieve
+
+
+def doc_conditional(doc, prev, vocab):
+    """Dense reference: full log-prob vector for p(next | doc, previous token)."""
+    ids, logp = _conditional(doc, prev)
+    out = np.full(vocab.size, -np.inf)
+    out[ids] = logp
+    return out
 
 
 def one_token_doc(did, token, length=4):
@@ -123,23 +131,24 @@ class TestDecodeStep:
 
     def test_mixture_matches_linear_oracle(self):
         rng = np.random.default_rng(6)
-        corpus = random_corpus(16, 64, seed=3, chunk_size=8)
-        for _ in range(25):
-            prompt = list(rng.integers(0, 64, size=5))
-            state = make_state(
-                retrieve(corpus, prompt, int(rng.integers(2, 9))),
-                prompt,
-                vocab=64,
-                chunk=8,
-            )
-            rerank(state)
-            mixture = local_mixture(state).probs()
-            weights = np.exp(state.scores - logsumexp(state.scores))
-            prev = state.context[-1]
-            reference = np.zeros(64)
-            for w, d in zip(weights, state.docs):
-                reference += w * np.exp(doc_conditional(d, prev, state.vocab))
-            assert 0.5 * np.abs(mixture - reference).sum() < 1e-9
+        for vocab in (64, 32768):
+            corpus = random_corpus(16, vocab, seed=3, chunk_size=8)
+            for _ in range(25):
+                prompt = list(rng.integers(0, vocab, size=5))
+                state = make_state(
+                    retrieve(corpus, prompt, int(rng.integers(2, 9))),
+                    prompt,
+                    vocab=vocab,
+                    chunk=8,
+                )
+                rerank(state)
+                mixture = local_mixture(state).probs()
+                weights = np.exp(state.scores - logsumexp(state.scores))
+                prev = state.context[-1]
+                reference = np.zeros(vocab)
+                for w, d in zip(weights, state.docs):
+                    reference += w * np.exp(doc_conditional(d, prev, state.vocab))
+                assert 0.5 * np.abs(mixture - reference).sum() < 1e-9
 
     def test_context_exhausted(self):
         state = make_state([(one_token_doc(0, 1), 0.0)], prompt=[1, 1, 1], max_context=4)

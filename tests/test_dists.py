@@ -188,6 +188,13 @@ class TestToppCodec:
         assert 3 in c.token_ids
         assert topp_decode(c).prob(3) > 0
 
+    def test_mass_below_f16_range_kept_positive(self):
+        p = dist([1.0 - 1e-9, 1e-9])
+        c = topp_encode(p, 1.0)
+        assert list(c.token_ids) == [0, 1]
+        assert c.values[1] == np.float16(2.0**-24)
+        assert topp_decode(c).prob(1) > 0
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             CompressedDist(4, np.array([2, 1], dtype=np.uint32), np.array([0.5, 0.5], dtype=np.float16))

@@ -1,22 +1,28 @@
 import socket
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from specagg.aggregator import aggregate
 from specagg.common import Side
+from specagg.decoder import decode_step, rerank
+from specagg.dists import topp_decode, topp_encode
 from specagg.retrieval import random_corpus
+from specagg.rng import aggregation_draws, decode_uniform
 from specagg.runtime import (
     NodeConfig,
+    build_decoder,
     free_port,
     run_loopback_pair,
     run_node,
     sequential_reference,
 )
-from specagg.transport import Codec, DelayedInbox, MessageStream
+from specagg.transport import Codec, DelayedInbox, MessageStream, ProbeKind, ProbeMsg
 
 
 def base_config(**overrides) -> NodeConfig:
@@ -130,6 +136,29 @@ class TestLoopback:
         assert all(e.latency_ms >= 0.0 for e in device.target_log)
 
 
+class TestSparsePath:
+    def test_step_cost_independent_of_vocab(self):
+        # one dense (k, V) float64 table at V = 2**20 would be 32 MB
+        corpus = random_corpus(16, 2**20, seed=11, chunk_size=64)
+        cfg = base_config(corpus=corpus, prompt=list(corpus.docs[3].tokens[:24]), vocab_size=2**20)
+        states = {side: build_decoder(cfg, side) for side in Side}
+        tracemalloc.start()
+        try:
+            for step in range(8):
+                drafts = {}
+                for side, state in states.items():
+                    rerank(state)
+                    rec = decode_step(state, decode_uniform(cfg.seed, step))
+                    wire = topp_encode(rec.dist, cfg.top_p, force_token=rec.token)
+                    drafts[side] = replace(rec, dist=topp_decode(wire))
+                draws = aggregation_draws(cfg.seed, step)
+                aggregate(drafts[Side.DEVICE], drafts[Side.CLOUD], draws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 MODES = {
     "adaptive": {},
     "static-device": {"static_side": Side.DEVICE},
@@ -159,6 +188,19 @@ class TestEventLoop:
         assert started == []
         stream.close()
         far.close()
+
+    def test_echo_probe_every_sixteenth_outcome(self, monkeypatch):
+        sent = []
+        original = MessageStream.send
+
+        def recording_send(stream, msg):
+            sent.append(msg)
+            return original(stream, msg)
+
+        monkeypatch.setattr(MessageStream, "send", recording_send)
+        run_loopback_pair(base_config(max_new_tokens=40, static_side=Side.DEVICE))
+        echoes = [m for m in sent if isinstance(m, ProbeMsg) and m.kind is ProbeKind.ECHO_REQUEST]
+        assert len(echoes) == 3  # after the outcomes of steps 0, 16 and 32
 
     def test_oracle_under_fast_thread_switching(self):
         # four threads on two nodes; switching every 10 us shakes out any

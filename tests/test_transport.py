@@ -18,6 +18,7 @@ from specagg.transport import (
     DraftMsg,
     FrameLengthError,
     Hello,
+    MalformedMessageError,
     MsgType,
     ProbeKind,
     ProbeMsg,
@@ -32,6 +33,19 @@ from specagg.transport import (
     listen_once,
 )
 from specagg.verify import FUZZ_VOCAB, random_message
+
+
+def raw_draft(token, ids, values, vocab_size=100):
+    """A draft frame packed by hand, so its distribution can break the invariants."""
+    pairs = np.empty(len(ids), dtype=transport._PAIR_DTYPE)
+    pairs["id"] = ids
+    pairs["value"] = values
+    body = (
+        transport._DRAFT_FIXED.pack(0, token, 0.0, 1.0)
+        + transport._DIST_HEAD.pack(len(ids), vocab_size)
+        + pairs.tobytes()
+    )
+    return HEADER.pack(MsgType.DRAFT, Codec.NONE, len(body)) + body
 
 
 def two_pair_dist():
@@ -134,6 +148,23 @@ class TestErrors:
     def test_nonempty_hello_rejected(self):
         with pytest.raises(FrameLengthError):
             decode_frame(bytes([5, 0, 1, 0, 0, 0, 42]))
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            encode_frame(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=1, t_send=0.0))[:6]
+            + bytes([9])
+            + encode_frame(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=1, t_send=0.0))[7:],
+            raw_draft(3, [17, 3], [0.5, 0.25]),  # ids not increasing
+            raw_draft(3, [3, 17], [0.5, 0.0]),  # zero mass
+            raw_draft(3, [3, 170], [0.5, 0.25]),  # id outside the vocabulary
+            raw_draft(3, [], []),  # empty
+        ],
+        ids=["probe-kind-9", "ids-decreasing", "zero-value", "id-outside-vocab", "empty"],
+    )
+    def test_malformed_body(self, frame):
+        with pytest.raises(MalformedMessageError):
+            decode_frame(frame)
 
 
 class TestSizeDiscipline:
@@ -292,6 +323,22 @@ class TestFrameBounds:
         assert len(bomb) < transport.max_body_len(self.VOCAB)
         client._sock.sendall(HEADER.pack(MsgType.DRAFT, Codec.BLOCK, len(bomb)) + bomb)
         with pytest.raises(FrameLengthError, match="inflates"):
+            server.recv()
+        client.close()
+        server.close()
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            raw_draft(3, [3, 7], [0.5, 0.5], vocab_size=VOCAB + 1),  # another vocabulary
+            raw_draft(5, [3, 7], [0.5, 0.5], vocab_size=VOCAB),  # token not kept
+        ],
+        ids=["vocab-mismatch", "token-not-kept"],
+    )
+    def test_draft_disagreeing_with_stream(self, frame):
+        client, server = loopback_pair(self.VOCAB)
+        client._sock.sendall(frame)
+        with pytest.raises(MalformedMessageError):
             server.recv()
         client.close()
         server.close()
