@@ -9,7 +9,6 @@ replayable from a single seed.
 from .common import ProtocolError, Side
 from .dists import (
     CompressedDist,
-    CorrectedWeight,
     LogDist,
     Vocab,
     eta_log_weights,
@@ -35,7 +34,6 @@ __all__ = [
     "AcceptanceTrace",
     "AggregationOutcome",
     "CompressedDist",
-    "CorrectedWeight",
     "CostVector",
     "LogDist",
     "MovingAcceptance",

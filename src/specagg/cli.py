@@ -1,4 +1,4 @@
-"""Command-line entry point: node, simulate, verify, bench, fit-profile.
+"""Command-line entry point: node, simulate, verify, fit-profile.
 
 All outputs are CSV or newline-delimited logs; every subcommand is
 deterministic given --seed.
@@ -15,12 +15,7 @@ from pathlib import Path
 from .common import Side
 from .profiler import fit_offline, measure_decode_curve
 from .retrieval import load_corpus, load_token_lines
-from .runtime import (
-    METRICS_CSV_HEADER,
-    NodeConfig,
-    run_loopback_pair,
-    run_node,
-)
+from .runtime import METRICS_CSV_HEADER, NodeConfig, run_node
 from .scheduler import CostVector
 from .simulator import AcceptanceTrace, NetModel, simulate
 from .transport import Codec
@@ -150,41 +145,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus, args.chunk_size)
-    prompts = load_token_lines(args.prompts)
-    if not prompts:
-        raise SystemExit(f"no prompts in {args.prompts}")
-    rows = []
-    for idx, prompt in enumerate(prompts[: args.limit]):
-        base = NodeConfig(
-            role=Side.DEVICE,
-            corpus=corpus,
-            prompt=prompt,
-            vocab_size=args.vocab,
-            docs_k=args.docs,
-            max_new_tokens=args.max_new_tokens,
-            max_context=args.max_context,
-            seed=args.seed + idx,
-            vanilla=args.vanilla,
-            decode_delay_ms=args.decode_delay_ms,
-            link_delay_ms=args.link_delay_ms,
-        )
-        device, _cloud = run_loopback_pair(base)
-        latencies = [e.latency_ms for e in device.target_log[1:]]
-        mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
-        rows.append(
-            (idx, f"{device.ttft_ms:.3f}", f"{mean_latency:.3f}", len(device.target_log))
-        )
-        print(
-            f"prompt={idx} ttft_ms={device.ttft_ms:.1f} per_token_ms={mean_latency:.2f} "
-            f"tokens={len(device.target_log)}"
-        )
-    if args.csv:
-        _write_csv(args.csv, ("prompt", "ttft_ms", "per_token_ms", "tokens"), rows)
-    return 0
-
-
 def cmd_fit_profile(args: argparse.Namespace) -> int:
     samples = measure_decode_curve(
         vocab_size=args.vocab,
@@ -271,22 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trials", type=int, default=1_000_000)
     ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(func=cmd_verify)
-
-    bench = sub.add_parser("bench", help="latency/TTFT over a prompt file via loopback pairs")
-    bench.add_argument("--corpus", required=True)
-    bench.add_argument("--prompts", required=True, help="token-id sequences, one per line")
-    bench.add_argument("--limit", type=int, default=8)
-    bench.add_argument("--chunk-size", type=int, default=64)
-    bench.add_argument("--docs", type=int, default=4)
-    bench.add_argument("--vocab", type=int, default=256)
-    bench.add_argument("--max-new-tokens", type=int, default=20)
-    bench.add_argument("--max-context", type=int, default=256)
-    bench.add_argument("--vanilla", action="store_true")
-    bench.add_argument("--decode-delay-ms", type=float, default=0.0)
-    bench.add_argument("--link-delay-ms", type=float, default=0.0)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--csv")
-    bench.set_defaults(func=cmd_bench)
 
     fit = sub.add_parser("fit-profile", help="offline decode-latency fit from a dummy run")
     fit.add_argument("--vocab", type=int, default=256)

@@ -181,32 +181,19 @@ class LogDist:
         return math.exp(self.logp_of(token))
 
 
-@dataclass(frozen=True)
-class CorrectedWeight:
-    """log of the summed exponentiated relevance scores of one side's docs.
-
-    Finite for any finite scores; the softmax of the two sides' values gives
-    the interpolation weights.
-    """
-
-    hlog: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.hlog):
-            raise ValueError(f"corrected weight must be finite, got {self.hlog!r}")
-
-
-def _hlog(h: CorrectedWeight | float) -> float:
-    value = h.hlog if isinstance(h, CorrectedWeight) else float(h)
+def _hlog(h: float) -> float:
+    """A corrected weight arrives from the peer: reject anything not finite."""
+    value = float(h)
     if not math.isfinite(value):
         raise ValueError(f"corrected weight must be finite, got {value!r}")
     return value
 
 
-def eta_log_weights(
-    h_l: CorrectedWeight | float, h_r: CorrectedWeight | float
-) -> tuple[float, float]:
+def eta_log_weights(h_l: float, h_r: float) -> tuple[float, float]:
     """Log-softmax of the two corrected weights: (log eta_l, log eta_r).
+
+    A corrected weight is the log of the summed exponentiated relevance
+    scores of one side's documents.
 
     Computed via log-sum-exp so weights hundreds of nats apart neither
     overflow nor underflow.
@@ -216,12 +203,7 @@ def eta_log_weights(
     return float(a - total), float(b - total)
 
 
-def interpolate_target(
-    p_l: LogDist,
-    p_r: LogDist,
-    h_l: CorrectedWeight | float,
-    h_r: CorrectedWeight | float,
-) -> LogDist:
+def interpolate_target(p_l: LogDist, p_r: LogDist, h_l: float, h_r: float) -> LogDist:
     """Weighted mixture of the two streams, entirely in log space.
 
     result(x) = log(eta_l * exp(p_l(x)) + eta_r * exp(p_r(x))).

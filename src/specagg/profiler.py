@@ -2,8 +2,7 @@
 
 The decode model keeps its slope as an explicit numerator/denominator pair
 (k_a, k_b) because the runtime update blends new observations into both
-while the intercept k_c stays frozen at its offline value.  The link model
-is latency plus size over bandwidth.
+while the intercept k_c stays frozen at its offline value.
 """
 
 from __future__ import annotations
@@ -37,32 +36,6 @@ class DecodeModel:
 
     def predict(self, t: float) -> float:
         return self.k_a * t / self.k_b + self.k_c
-
-
-@dataclass(frozen=True)
-class LinkModel:
-    """latency + size/bandwidth transmission estimate.
-
-    latency_ms is the measured bidirectional sum; bandwidths in bytes/ms.
-    """
-
-    latency_ms: float
-    bandwidth_send: float
-    bandwidth_recv: float
-
-    def __post_init__(self) -> None:
-        if self.latency_ms < 0:
-            raise ValueError("latency must be non-negative")
-        if self.bandwidth_send <= 0 or self.bandwidth_recv <= 0:
-            raise ValueError("bandwidths must be positive")
-
-
-def estimate_trans(link: LinkModel, g: float, direction: str = "send") -> float:
-    """Transmission-time estimate for g bytes in the given direction."""
-    if g < 0:
-        raise ValueError("data size must be non-negative")
-    bw = link.bandwidth_send if direction == "send" else link.bandwidth_recv
-    return link.latency_ms + g / bw
 
 
 def fit_offline(samples: Sequence[tuple[float, float]]) -> DecodeModel:

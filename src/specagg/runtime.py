@@ -21,6 +21,12 @@ above relies on.  One decode worker thread owns the DecoderState and takes
 decode and rollback commands in order.  The loop's only blocking wait is
 `DelayedInbox.recv`, which the worker wakes when a draft is ready.
 
+Side choice: each node feeds every outcome, its own or the peer's, to its
+`scheduler.AggregatorPolicy` in step order.  The aggregator then asks the
+policy about the next step, with the profiler's decode estimates and half
+the echo-probe RTT as each side's one-way cost, and sends the choice along
+with the outcome.
+
 Failures are surfaced, never papered over: any step desync raises with a
 state dump.
 """
@@ -41,7 +47,7 @@ from .dists import Vocab, topp_decode, topp_encode
 from .profiler import SideProfiler
 from .retrieval import Corpus, Half, retrieve
 from .rng import aggregation_draws, decode_uniform
-from .scheduler import AcceptanceEstimate, CostVector, MovingAcceptance, choose_side
+from .scheduler import AggregatorPolicy
 from .transport import (
     Bye,
     Codec,
@@ -97,8 +103,6 @@ class NodeConfig:
     static_side: Side | None = None  # None = adaptive scheduling
     decode_delay_ms: float = 0.0
     link_delay_ms: float = 0.0
-    zeta: float = 0.3
-    ema_weight: float = 0.2
     codec: Codec = Codec.NONE
     listen: tuple[str, int] | None = None
     peer: tuple[str, int] | None = None
@@ -256,8 +260,8 @@ class _NodeEngine:
         self.peer_hello = False
         self.switches = 0
 
-        self.acceptance = {s: MovingAcceptance(config.ema_weight) for s in Side}
-        self.profiler = SideProfiler(config.zeta)
+        self.policy = AggregatorPolicy()
+        self.profiler = SideProfiler()
         self.rtt_ema: float | None = None
         self.bw_obs: float = 0.0
         self._bw_mark: tuple[float, int] | None = None
@@ -291,10 +295,9 @@ class _NodeEngine:
         target: int,
         accept_l: bool,
         accept_r: bool,
-        switch_to: Side | None,
         remote: bool,
     ) -> None:
-        """Queue maintenance, preemption, and log append."""
+        """Log append, policy update, queue maintenance and preemption."""
         if step != len(self.log_entries):
             raise self._protocol_error(f"outcome for step {step}, expected {len(self.log_entries)}")
         now = time.perf_counter()
@@ -303,6 +306,7 @@ class _NodeEngine:
         latency = 0.0 if self._last_outcome_at is None else (now - self._last_outcome_at) * 1000.0
         self._last_outcome_at = now
         self.log_entries.append(TargetEntry(step, target, accept_l, accept_r, latency))
+        self.policy.observe(accept_l, accept_r)
 
         accepted = {Side.DEVICE: accept_l, Side.CLOUD: accept_r}
         for side in Side:
@@ -325,8 +329,10 @@ class _NodeEngine:
                 elif not remote:
                     # I aggregate: the remote side's fresh drafts race its ack
                     self.awaiting_ack[side] = step
-        if switch_to is not None and switch_to is not self.current_agg:
-            self.current_agg = switch_to
+
+    def _switch(self, side: Side | None) -> None:
+        if side is not None and side is not self.current_agg:
+            self.current_agg = side
             self.switches += 1
 
     # ----------------------------------------------------------- own drafts
@@ -390,9 +396,8 @@ class _NodeEngine:
         elif isinstance(msg, TargetMsg):
             if self.current_agg is self.role:
                 raise self._protocol_error("received outcome while aggregating")
-            self._apply_outcome(
-                msg.step, msg.target, msg.accept_l, msg.accept_r, msg.switch_to, remote=True
-            )
+            self._apply_outcome(msg.step, msg.target, msg.accept_l, msg.accept_r, remote=True)
+            self._switch(msg.switch_to)
         elif isinstance(msg, ProbeMsg):
             self._on_probe(peer, msg)
         elif isinstance(msg, Hello):
@@ -449,17 +454,11 @@ class _NodeEngine:
             draft_dev = self.queues[Side.DEVICE][0]
             draft_cloud = self.queues[Side.CLOUD][0]
             outcome = aggregate(draft_dev, draft_cloud, aggregation_draws(cfg.seed, step))
-            self.acceptance[Side.DEVICE].update(outcome.accept_l)
-            self.acceptance[Side.CLOUD].update(outcome.accept_r)
-            switch_to = self._schedule(step)
             self._apply_outcome(
-                step,
-                outcome.target,
-                outcome.accept_l,
-                outcome.accept_r,
-                switch_to,
-                remote=False,
+                step, outcome.target, outcome.accept_l, outcome.accept_r, remote=False
             )
+            switch_to = self._schedule(step)
+            self._switch(switch_to)
             self.stream.send(
                 TargetMsg(
                     step=step,
@@ -484,21 +483,10 @@ class _NodeEngine:
             return None
         if self.rtt_ema is None:
             return None  # no link estimate yet
-        peer = self.role.other
         t_next = cfg.prompt_len_abs(step + 1)
-        own = self.profiler.decode_estimate(self.role, t_next, default=1.0)
-        other = self.profiler.decode_estimate(peer, t_next, default=1.0)
-        costs = CostVector(
-            c_dec_l=own,
-            c_dec_r=other,
-            c_trans_l=self.rtt_ema / 2.0,
-            c_trans_r=self.rtt_ema / 2.0,
-        )
-        acc = AcceptanceEstimate(
-            alpha_l=self.acceptance[self.role].value,
-            alpha_r=self.acceptance[peer].value,
-        )
-        chosen = choose_side(self.role, costs, acc)
+        c_dec = {s: self.profiler.decode_estimate(s, t_next, default=1.0) for s in Side}
+        c_trans = dict.fromkeys(Side, self.rtt_ema / 2.0)
+        chosen = self.policy.next_side(self.role, c_dec, c_trans)
         return chosen if chosen is not self.role else None
 
     def _update_bandwidth(self) -> None:

@@ -1,15 +1,19 @@
 """Greedy selection of the aggregation side.
 
 The math lives in local/remote coordinates: `l` is whichever side currently
-aggregates, `r` the other one.  Callers orient their cost and acceptance
-estimates before asking.  The per-token latency model says: an accepted
+aggregates, `r` the other one.  The per-token latency model says: an accepted
 remote draft costs only decoding overlap, a rejected one additionally burns
 a full round trip before the remote side can restart.
+
+`AggregatorPolicy` is the one place that picks the side, for the simulator
+and for both live nodes alike: callers feed it every outcome and per-side
+costs keyed by `Side`, and it orients them before asking `choose_side`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .common import Side
 
@@ -111,6 +115,30 @@ def choose_side(current: Side, costs: CostVector, acc: AcceptanceEstimate) -> Si
     if d > 0.0:
         return current.other
     return current
+
+
+class AggregatorPolicy:
+    """The adaptive scheduler's state: one acceptance EMA per side.
+
+    Every party that decides feeds `observe` each outcome once, in step
+    order, before it asks `next_side` about the following step.
+    """
+
+    def __init__(self) -> None:
+        self.rates = {Side.DEVICE: MovingAcceptance(), Side.CLOUD: MovingAcceptance()}
+
+    def observe(self, accept_device: bool, accept_cloud: bool) -> None:
+        self.rates[Side.DEVICE].update(accept_device)
+        self.rates[Side.CLOUD].update(accept_cloud)
+
+    def next_side(
+        self, current: Side, c_dec: Mapping[Side, float], c_trans: Mapping[Side, float]
+    ) -> Side:
+        """Side that should aggregate next, from per-side decode and one-way costs (ms)."""
+        remote = current.other
+        costs = CostVector(c_dec[current], c_dec[remote], c_trans[current], c_trans[remote])
+        acc = AcceptanceEstimate(self.rates[current].value, self.rates[remote].value)
+        return choose_side(current, costs, acc)
 
 
 def theoretical_speedup(costs: CostVector, alpha_r: float) -> float:

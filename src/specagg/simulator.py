@@ -11,7 +11,9 @@ transmission delays.  Time advances through one recurrence per aggregation:
     one at decode completion, remote one after a one-way transmission.
 
 Aggregation itself costs nothing.  Network latency is the per-side constant
-plus a shared sinusoidal-jitter term sampled at send time.
+plus a shared sinusoidal-jitter term sampled at send time.  The adaptive
+strategy picks each next side through `scheduler.AggregatorPolicy`, the one
+the live nodes use, fed the exact costs of the moment.
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ import numpy as np
 from .common import Side
 from .dists import CompressedDist
 from .profiler import DecodeModel
-from .scheduler import (
-    AcceptanceEstimate,
-    CostVector,
-    MovingAcceptance,
-    choose_side,
-    theoretical_speedup,
-)
+from .scheduler import AggregatorPolicy, CostVector, theoretical_speedup
 from .rng import derive_seed
 from . import transport
 
@@ -164,44 +160,6 @@ def default_message_bytes(kept_tokens: int = 32, vocab_size: int = 50_272) -> tu
     return len(transport.encode_frame(draft)), len(transport.encode_frame(target))
 
 
-class _DragonPolicy:
-    """Scheduler state for the adaptive strategy: acceptance EMAs per side."""
-
-    def __init__(self) -> None:
-        self.rates = {Side.DEVICE: MovingAcceptance(), Side.CLOUD: MovingAcceptance()}
-
-    def next_side(
-        self,
-        current: Side,
-        flags: tuple[bool, bool],
-        costs: CostVector,
-        net: NetModel,
-        now_ms: float,
-        draft_bytes: int,
-        c_dec: dict[Side, float],
-    ) -> Side:
-        self.rates[Side.DEVICE].update(flags[0])
-        self.rates[Side.CLOUD].update(flags[1])
-        shared = instantaneous_latency(net, now_ms / 1000.0)
-        if net.bandwidth is not None:
-            shared += draft_bytes / net.bandwidth
-        remote = current.other
-        trans = {
-            Side.DEVICE: costs.c_trans_l + shared,
-            Side.CLOUD: costs.c_trans_r + shared,
-        }
-        oriented = CostVector(
-            c_dec_l=c_dec[current],
-            c_dec_r=c_dec[remote],
-            c_trans_l=trans[current],
-            c_trans_r=trans[remote],
-        )
-        acc = AcceptanceEstimate(
-            alpha_l=self.rates[current].value, alpha_r=self.rates[remote].value
-        )
-        return choose_side(current, oriented, acc)
-
-
 def simulate(
     trace: AcceptanceTrace,
     costs: CostVector,
@@ -218,8 +176,9 @@ def simulate(
     """Run the recurrence over the whole trace under one strategy.
 
     Strategies: 'device' / 'cloud' aggregate statically, 'random' re-picks a
-    side after every step, 'dragon' follows the greedy latency rule.  The
-    device stream maps to the l slot of costs.
+    side after every step, 'dragon' feeds each step's outcome to an
+    `AggregatorPolicy` and follows its greedy latency rule.  The device
+    stream maps to the l slot of costs.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -242,7 +201,7 @@ def simulate(
         return delay
 
     rng = np.random.default_rng(derive_seed(seed, "strategy"))
-    dragon = _DragonPolicy() if strategy == "dragon" else None
+    dragon = AggregatorPolicy() if strategy == "dragon" else None
 
     agg = start_side if strategy in ("random", "dragon") else Side(strategy)
     agg_free = 0.0
@@ -272,15 +231,12 @@ def simulate(
         if strategy == "random":
             nxt = Side.DEVICE if rng.random() < 0.5 else Side.CLOUD
         elif dragon is not None:
-            nxt = dragon.next_side(
-                agg,
-                flags,
-                costs,
-                net,
-                t_now,
-                draft_bytes,
-                {s: c_dec(s, step + 1) for s in Side},
-            )
+            dragon.observe(*flags)
+            shared = instantaneous_latency(net, t_now / 1000.0)
+            if net.bandwidth is not None:
+                shared += draft_bytes / net.bandwidth
+            trans = {s: trans_const[s] + shared for s in Side}
+            nxt = dragon.next_side(agg, {s: c_dec(s, step + 1) for s in Side}, trans)
         else:
             nxt = agg
         if nxt is not agg:

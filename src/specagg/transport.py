@@ -263,17 +263,6 @@ def decode_frame(data: bytes) -> tuple[Message, int]:
     return _open_body(msg_type, codec, data[HEADER.size : end], None), end
 
 
-def decode_stream(data: bytes) -> list[Message]:
-    """Split a byte string of concatenated frames back into messages."""
-    out: list[Message] = []
-    offset = 0
-    while offset < len(data):
-        msg, used = decode_frame(data[offset:])
-        out.append(msg)
-        offset += used
-    return out
-
-
 class MessageStream:
     """Framed, full-duplex message exchange over a connected socket.
 

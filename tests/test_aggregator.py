@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specagg.aggregator import (
@@ -68,6 +68,8 @@ class TestSpeculativeSample:
         u_reject=st.floats(0.0, 1.0, exclude_max=True),
         u_resample=st.floats(0.0, 1.0, exclude_max=True),
     )
+    # one-token supports whose log-probs differ by one ulp: rejection fires, the residual is empty
+    @example(seed=847, relation="b-in-a", eta=1.0, u_reject=0.0, u_resample=0.0)
     @settings(max_examples=200, deadline=None)
     def test_sparse_supports_match_dense_residual(self, seed, relation, eta, u_reject, u_resample):
         vocab = Vocab(1 << 16)
@@ -95,9 +97,10 @@ class TestSpeculativeSample:
         if la > lb and u_reject < eta * (1.0 - math.exp(lb - la)):
             residual = np.clip(dense_b - dense_a, 0.0, None)
             cdf = np.cumsum(residual)
-            expected = int(np.searchsorted(cdf, u_resample * cdf[-1], side="right"))
-            if expected >= vocab.size:
-                expected = int(np.flatnonzero(residual > 0)[-1])
+            if cdf[-1] > 0.0:  # an empty residual keeps x
+                expected = int(np.searchsorted(cdf, u_resample * cdf[-1], side="right"))
+                if expected >= vocab.size:
+                    expected = int(np.flatnonzero(residual > 0)[-1])
         assert speculative_sample(x, p_a, p_b, eta, u_reject, u_resample) == expected
 
 

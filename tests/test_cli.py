@@ -121,25 +121,6 @@ class TestNodeCommand:
         assert "error" in result.stderr.lower() or "No such file" in result.stderr
 
 
-class TestBench:
-    def test_bench_over_prompt_file(self, corpus_file, tmp_path):
-        prompts = tmp_path / "prompts.txt"
-        corpus = random_corpus(48, 256, seed=11, chunk_size=64)
-        lines = [
-            " ".join(str(t) for t in doc.tokens[:16]) for doc in corpus.docs[:2]
-        ]
-        prompts.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "bench.csv"
-        result = run_cli(
-            "bench", "--corpus", corpus_file, "--prompts", str(prompts),
-            "--max-new-tokens", "8", "--csv", str(out),
-        )
-        assert result.returncode == 0, result.stderr
-        rows = list(csv.reader(out.read_text().splitlines()))
-        assert rows[0] == ["prompt", "ttft_ms", "per_token_ms", "tokens"]
-        assert len(rows) == 3
-
-
 class TestFitProfile:
     def test_prints_coefficients(self, tmp_path):
         out = tmp_path / "samples.csv"

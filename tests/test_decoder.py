@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specagg.common import Side
 from specagg.decoder import (
@@ -14,8 +16,9 @@ from specagg.decoder import (
     rerank,
     rollback,
 )
-from specagg.dists import Vocab, logsumexp
-from specagg.retrieval import Document, NO_OVERLAP_SCORE, random_corpus, retrieve
+from specagg.dists import Vocab, interpolate_target, logsumexp
+from specagg.retrieval import Document, Half, NO_OVERLAP_SCORE, random_corpus, retrieve
+from specagg.rng import decode_uniform
 
 
 def doc_conditional(doc, prev, vocab):
@@ -192,3 +195,47 @@ class TestRollback:
         assert rolled.token == direct.token
         assert rolled.dist == direct.dist
         assert rolled.h == direct.h
+
+
+class TestCentralizedEquivalence:
+    """The paper's decomposition keeps centralized RAG's output distribution.
+
+    The h-weighted interpolation of the two sides' k-document mixtures is
+    the one mixture over the top-2k documents, at every decoded step.
+    """
+
+    @given(
+        corpus_seed=st.integers(0, 2**16),
+        vocab=st.sampled_from([256, 4096]),
+        k=st.integers(1, 6),
+        prompt_doc=st.integers(0, 31),
+        prompt_len=st.integers(1, 24),
+        steps=st.integers(0, 4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_interpolated_halves_equal_top_2k_mixture(
+        self, corpus_seed, vocab, k, prompt_doc, prompt_len, steps
+    ):
+        corpus = random_corpus(32, vocab, seed=corpus_seed, chunk_size=32)
+        prompt = list(corpus.docs[prompt_doc].tokens[:prompt_len])
+
+        def state(half, n_docs):
+            retrieved = retrieve(corpus, prompt, n_docs, half)
+            return DecoderState.start(Vocab(vocab), retrieved, prompt, 0, 64, 32)
+
+        central = state(Half.ALL, 2 * k)
+        first, second = state(Half.FIRST, k), state(Half.SECOND, k)
+        for step in range(steps + 1):
+            for side in (central, first, second):
+                rerank(side)
+            target = interpolate_target(
+                local_mixture(first),
+                local_mixture(second),
+                corrected_weight(first),
+                corrected_weight(second),
+            )
+            gap = np.abs(target.probs() - local_mixture(central).probs()).max()
+            assert gap <= 1e-12, (step, gap)
+            token = decode_step(central, decode_uniform(corpus_seed, step)).token
+            first.context.append(token)
+            second.context.append(token)

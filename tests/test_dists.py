@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from specagg.dists import (
     CompressedDist,
-    CorrectedWeight,
     LogDist,
     Vocab,
     VocabMismatchError,
@@ -66,7 +65,7 @@ class TestEtaWeights:
         assert le_r == pytest.approx(-700.0)
 
     def test_hand_softmax(self):
-        le_l, le_r = eta_log_weights(CorrectedWeight(math.log(3)), CorrectedWeight(0.0))
+        le_l, le_r = eta_log_weights(math.log(3), 0.0)
         assert math.exp(le_l) == pytest.approx(0.75)
         assert math.exp(le_r) == pytest.approx(0.25)
 
@@ -81,7 +80,7 @@ class TestEtaWeights:
         with pytest.raises(ValueError):
             eta_log_weights(math.inf, 0.0)
         with pytest.raises(ValueError):
-            CorrectedWeight(math.nan)
+            eta_log_weights(0.0, math.nan)
 
 
 class TestInterpolation:

@@ -4,9 +4,7 @@ import pytest
 from specagg.common import Side
 from specagg.profiler import (
     DecodeModel,
-    LinkModel,
     SideProfiler,
-    estimate_trans,
     fit_offline,
     measure_decode_curve,
     update_runtime,
@@ -84,29 +82,6 @@ class TestUpdateRuntime:
     def test_zeta_range(self):
         with pytest.raises(ValueError):
             update_runtime(DecodeModel(1.0, 1.0, 0.0), 1.0, 5.0, 1.5)
-
-
-class TestLinkModel:
-    def test_zero_bytes(self):
-        link = LinkModel(2.0, 1000.0, 500.0)
-        assert estimate_trans(link, 0.0) == pytest.approx(2.0)
-
-    def test_hand_value(self):
-        link = LinkModel(2.0, 1000.0, 1000.0)
-        assert estimate_trans(link, 4000.0) == pytest.approx(6.0)
-
-    def test_linear_in_size(self):
-        link = LinkModel(1.0, 250.0, 125.0)
-        base = estimate_trans(link, 1000.0, "recv")
-        assert estimate_trans(link, 2000.0, "recv") - base == pytest.approx(1000.0 / 125.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LinkModel(-1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            LinkModel(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            estimate_trans(LinkModel(1.0, 1.0, 1.0), -5.0)
 
 
 class TestDecodeCurve:

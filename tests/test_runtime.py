@@ -2,6 +2,7 @@ import socket
 import sys
 import threading
 import tracemalloc
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -22,6 +23,7 @@ from specagg.runtime import (
     run_node,
     sequential_reference,
 )
+from specagg.scheduler import AggregatorPolicy
 from specagg.transport import Codec, DelayedInbox, MessageStream, ProbeKind, ProbeMsg
 
 
@@ -201,6 +203,22 @@ class TestEventLoop:
         run_loopback_pair(base_config(max_new_tokens=40, static_side=Side.DEVICE))
         echoes = [m for m in sent if isinstance(m, ProbeMsg) and m.kind is ProbeKind.ECHO_REQUEST]
         assert len(echoes) == 3  # after the outcomes of steps 0, 16 and 32
+
+    def test_every_node_observes_every_outcome(self, monkeypatch):
+        # the node that did not aggregate a step learns its outcome too, so
+        # a new aggregator decides from current acceptance rates
+        observed = defaultdict(list)
+        original = AggregatorPolicy.observe
+
+        def recording_observe(policy, accept_device, accept_cloud):
+            observed[threading.current_thread().name].append((accept_device, accept_cloud))
+            original(policy, accept_device, accept_cloud)
+
+        monkeypatch.setattr(AggregatorPolicy, "observe", recording_observe)
+        device, cloud = run_loopback_pair(base_config(max_new_tokens=40, link_delay_ms=0.5))
+        for side, result in ((Side.DEVICE, device), (Side.CLOUD, cloud)):
+            rows = [(e.accept_l, e.accept_r) for e in result.target_log]
+            assert observed[f"node-{side}"] == rows
 
     def test_oracle_under_fast_thread_switching(self):
         # four threads on two nodes; switching every 10 us shakes out any

@@ -1,0 +1,72 @@
+"""The benchmark's per-layer run wraps specagg names; refactors must keep them working.
+
+`specbench/tracer.py` lists the `(module, attribute)` pairs it wraps in
+`NODE_TARGETS` and `SIM_TARGETS`, and replaces each function wherever a
+loaded specagg module binds it.  Every pair must resolve, and a wrapper on
+`scheduler.choose_side` alone must see the side decisions of the simulator
+and of a live node pair, or the traced `scheduler.*` metrics read nothing.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from specagg import scheduler
+from specagg.common import Side
+from specagg.retrieval import random_corpus
+from specagg.runtime import NodeConfig, run_loopback_pair
+from specagg.scheduler import CostVector
+from specagg.simulator import AcceptanceTrace, NetModel, simulate
+
+TRACER = Path(__file__).resolve().parents[1] / "specbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("specbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    previous = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # import only: leave no bytecode cache beside the benchmark
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = previous
+    return module
+
+
+def test_every_target_resolves(tracer):
+    targets = tracer.NODE_TARGETS + tracer.SIM_TARGETS
+    assert targets
+    for module_name, attr, span in targets:
+        owner = importlib.import_module(module_name)
+        owner_name, _, name = attr.rpartition(".")
+        if owner_name:
+            owner = getattr(owner, owner_name)
+            assert name in vars(owner), span  # methods are patched on their class
+        assert callable(getattr(owner, name)), span
+
+
+def test_choose_side_sees_every_decision(monkeypatch):
+    calls = []
+    original = scheduler.choose_side
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scheduler, "choose_side", counting)
+
+    trace = AcceptanceTrace.bernoulli(50, 0.6, 0.8, seed=0)
+    simulate(trace, CostVector(10.0, 6.0, 1.0, 1.0), NetModel(base_latency=2.0), "dragon")
+    assert len(calls) == len(trace)
+
+    calls.clear()
+    corpus = random_corpus(48, 256, seed=11, chunk_size=64)
+    prompt = list(corpus.docs[3].tokens[:24])
+    run_loopback_pair(
+        NodeConfig(role=Side.DEVICE, corpus=corpus, prompt=prompt, max_new_tokens=40, seed=5)
+    )
+    assert calls  # the aggregator asks on every outcome after its first echo reply

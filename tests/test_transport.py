@@ -28,7 +28,6 @@ from specagg.transport import (
     UnknownMessageTypeError,
     connect,
     decode_frame,
-    decode_stream,
     encode_frame,
     listen_once,
 )
@@ -117,7 +116,12 @@ class TestRoundTrips:
         rng = np.random.default_rng(1)
         msgs = [random_message(rng) for _ in range(40)]
         blob = b"".join(encode_frame(m) for m in msgs)
-        assert decode_stream(blob) == msgs
+        decoded, offset = [], 0
+        while offset < len(blob):
+            msg, used = decode_frame(blob[offset:])
+            decoded.append(msg)
+            offset += used
+        assert decoded == msgs
 
 
 class TestErrors:
