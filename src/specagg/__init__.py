@@ -21,7 +21,6 @@ from .aggregator import AggregationOutcome, aggregate, expected_acceptance, spec
 from .scheduler import (
     AcceptanceEstimate,
     CostVector,
-    MovingAcceptance,
     choose_side,
     delta_z,
     latency_per_token,
@@ -36,7 +35,6 @@ __all__ = [
     "CompressedDist",
     "CostVector",
     "LogDist",
-    "MovingAcceptance",
     "NetModel",
     "ProtocolError",
     "Side",

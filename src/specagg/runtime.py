@@ -24,8 +24,12 @@ decode and rollback commands in order.  The loop's only blocking wait is
 Side choice: each node feeds every outcome, its own or the peer's, to its
 `scheduler.AggregatorPolicy` in step order.  The aggregator then asks the
 policy about the next step, with the profiler's decode estimates and half
-the echo-probe RTT as each side's one-way cost, and sends the choice along
-with the outcome.
+the echo-probe RTT as each side's one-way cost.  The policy weighs that
+step's realized outcome and charges a hand-off the outcome's one-way trip;
+a hand-off travels with the outcome, so a peer whose draft was just
+rejected takes the role and redrafts without a second link crossing.  Each
+node sends one echo probe right after its Hello, so both hold an RTT
+estimate before their first decision.
 
 Failures are surfaced, never papered over: any step desync raises with a
 state dump.
@@ -469,11 +473,7 @@ class _NodeEngine:
                 )
             )
             if step % LINK_SAMPLE_EVERY == 0:
-                self._probe_seq += 1
-                probe = ProbeMsg(
-                    ProbeKind.ECHO_REQUEST, seq=self._probe_seq, t_send=time.perf_counter()
-                )
-                self.stream.send(probe)
+                self._send_echo()
                 self._update_bandwidth()
 
     def _schedule(self, step: int) -> Side | None:
@@ -488,6 +488,12 @@ class _NodeEngine:
         c_trans = dict.fromkeys(Side, self.rtt_ema / 2.0)
         chosen = self.policy.next_side(self.role, c_dec, c_trans)
         return chosen if chosen is not self.role else None
+
+    def _send_echo(self) -> None:
+        self._probe_seq += 1
+        self.stream.send(
+            ProbeMsg(ProbeKind.ECHO_REQUEST, seq=self._probe_seq, t_send=time.perf_counter())
+        )
 
     def _update_bandwidth(self) -> None:
         now = time.perf_counter()
@@ -506,6 +512,7 @@ class _NodeEngine:
         try:
             self.worker.start()
             self.stream.send(Hello())
+            self._send_echo()  # so both nodes hold an RTT estimate before their first hand-off
             self._loop_until(lambda: self.peer_hello, "handshake")
             if cfg.max_new_tokens == 0:
                 self.ttft_ms = (time.perf_counter() - started_at) * 1000.0

@@ -1,4 +1,4 @@
-"""Greedy selection of the aggregation side.
+"""Selection of the aggregation side, one step at a time.
 
 The math lives in local/remote coordinates: `l` is whichever side currently
 aggregates, `r` the other one.  The per-token latency model says: an accepted
@@ -8,6 +8,11 @@ a full round trip before the remote side can restart.
 `AggregatorPolicy` is the one place that picks the side, for the simulator
 and for both live nodes alike: callers feed it every outcome and per-side
 costs keyed by `Side`, and it orients them before asking `choose_side`.
+`choose_side` prices the next step both ways from the outcome just
+aggregated, charging a hand-off the one-way trip that carries the outcome
+(and the role) to the other side: after a rejected remote draft, the remote
+side that takes the role along with the outcome redrafts without a second
+link crossing.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ class CostVector:
 
 @dataclass(frozen=True)
 class AcceptanceEstimate:
-    """Moving-average acceptance rates of each side's drafts, l/r-oriented."""
+    """Acceptance of each side's drafts, l/r-oriented: rates, or one step's flags."""
 
     alpha_l: float
     alpha_r: float
@@ -53,24 +58,6 @@ class AcceptanceEstimate:
 
     def swapped(self) -> "AcceptanceEstimate":
         return AcceptanceEstimate(self.alpha_r, self.alpha_l)
-
-
-class MovingAcceptance:
-    """Exponential moving average over binary accept/reject outcomes.
-
-    Starts optimistic (1.0) so the scheduler initially assumes overlap;
-    weight 0.2 damps abrupt swings.
-    """
-
-    def __init__(self, weight: float = 0.2, initial: float = 1.0) -> None:
-        if not 0.0 < weight <= 1.0:
-            raise ValueError(f"weight must be in (0, 1], got {weight}")
-        self.weight = weight
-        self.value = initial
-
-    def update(self, accepted: bool) -> float:
-        self.value = (1.0 - self.weight) * self.value + self.weight * (1.0 if accepted else 0.0)
-        return self.value
 
 
 def latency_per_token(costs: CostVector, acc: AcceptanceEstimate, local: str = "l") -> float:
@@ -106,30 +93,34 @@ def delta_z(costs: CostVector, acc: AcceptanceEstimate) -> float:
 
 
 def choose_side(current: Side, costs: CostVector, acc: AcceptanceEstimate) -> Side:
-    """Side that should aggregate next; ties keep the current side.
+    """Side that should aggregate the next step; ties keep the current side.
 
-    costs and acc must be oriented with l = current.  Keeping the side on a
-    tie avoids switch churn and the extra signalling it would cost.
+    costs and acc must be oriented with l = current; acc holds the accept
+    flags of the step just aggregated (0 or 1).  Staying costs
+    Z_stay = max(c_l, c_r + (1 - a_r) * rtt); handing the role over with the
+    outcome costs Z_hand = max(t_l, c_r + (1 - a_r) * t_l, c_l + (1 - a_l) * t_l):
+    the new aggregator learns the outcome one transmission later, redrafts
+    at once if it was rejected, and waits for the old aggregator's draft.
     """
-    d = delta_z(costs, acc)
-    if d > 0.0:
-        return current.other
-    return current
+    t_l = costs.c_trans_l
+    miss_l, miss_r = 1.0 - acc.alpha_l, 1.0 - acc.alpha_r
+    z_stay = max(costs.c_dec_l, costs.c_dec_r + miss_r * costs.rtt)
+    z_hand = max(t_l, costs.c_dec_r + miss_r * t_l, costs.c_dec_l + miss_l * t_l)
+    return current.other if z_hand < z_stay else current
 
 
 class AggregatorPolicy:
-    """The adaptive scheduler's state: one acceptance EMA per side.
+    """The adaptive scheduler's state: the accept flags of the last outcome.
 
     Every party that decides feeds `observe` each outcome once, in step
     order, before it asks `next_side` about the following step.
     """
 
     def __init__(self) -> None:
-        self.rates = {Side.DEVICE: MovingAcceptance(), Side.CLOUD: MovingAcceptance()}
+        self.last = {Side.DEVICE: True, Side.CLOUD: True}
 
     def observe(self, accept_device: bool, accept_cloud: bool) -> None:
-        self.rates[Side.DEVICE].update(accept_device)
-        self.rates[Side.CLOUD].update(accept_cloud)
+        self.last = {Side.DEVICE: accept_device, Side.CLOUD: accept_cloud}
 
     def next_side(
         self, current: Side, c_dec: Mapping[Side, float], c_trans: Mapping[Side, float]
@@ -137,7 +128,7 @@ class AggregatorPolicy:
         """Side that should aggregate next, from per-side decode and one-way costs (ms)."""
         remote = current.other
         costs = CostVector(c_dec[current], c_dec[remote], c_trans[current], c_trans[remote])
-        acc = AcceptanceEstimate(self.rates[current].value, self.rates[remote].value)
+        acc = AcceptanceEstimate(float(self.last[current]), float(self.last[remote]))
         return choose_side(current, costs, acc)
 
 

@@ -13,7 +13,9 @@ transmission delays.  Time advances through one recurrence per aggregation:
 Aggregation itself costs nothing.  Network latency is the per-side constant
 plus a shared sinusoidal-jitter term sampled at send time.  The adaptive
 strategy picks each next side through `scheduler.AggregatorPolicy`, the one
-the live nodes use, fed the exact costs of the moment.
+the live nodes use, fed the exact costs of the moment and the step's
+outcome.  A switch is charged as the recurrence says: the new aggregator
+starts only once the outcome has reached it.
 """
 
 from __future__ import annotations
@@ -177,8 +179,9 @@ def simulate(
 
     Strategies: 'device' / 'cloud' aggregate statically, 'random' re-picks a
     side after every step, 'dragon' feeds each step's outcome to an
-    `AggregatorPolicy` and follows its greedy latency rule.  The device
-    stream maps to the l slot of costs.
+    `AggregatorPolicy` and hands the role over whenever that outcome makes
+    the switch-charged next step cheaper.  The device stream maps to the l
+    slot of costs.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")

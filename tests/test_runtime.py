@@ -17,6 +17,7 @@ from specagg.retrieval import random_corpus
 from specagg.rng import aggregation_draws, decode_uniform
 from specagg.runtime import (
     NodeConfig,
+    _NodeEngine,
     build_decoder,
     free_port,
     run_loopback_pair,
@@ -202,11 +203,27 @@ class TestEventLoop:
         monkeypatch.setattr(MessageStream, "send", recording_send)
         run_loopback_pair(base_config(max_new_tokens=40, static_side=Side.DEVICE))
         echoes = [m for m in sent if isinstance(m, ProbeMsg) and m.kind is ProbeKind.ECHO_REQUEST]
-        assert len(echoes) == 3  # after the outcomes of steps 0, 16 and 32
+        # one per node right after Hello, then after the outcomes of steps 0, 16 and 32
+        assert len(echoes) == 5
+
+    def test_rtt_estimate_before_first_decision(self, monkeypatch):
+        # both nodes probe the link at the handshake, so neither decides a
+        # hand-off without a link estimate
+        decisions = defaultdict(list)
+        original = _NodeEngine._schedule
+
+        def recording_schedule(engine, step):
+            decisions[engine.role].append(engine.rtt_ema is None)
+            return original(engine, step)
+
+        monkeypatch.setattr(_NodeEngine, "_schedule", recording_schedule)
+        run_loopback_pair(base_config(max_new_tokens=40, decode_delay_ms=2.0, link_delay_ms=5.0))
+        assert decisions[Side.CLOUD]
+        assert not any(decisions[Side.CLOUD])
 
     def test_every_node_observes_every_outcome(self, monkeypatch):
         # the node that did not aggregate a step learns its outcome too, so
-        # a new aggregator decides from current acceptance rates
+        # a new aggregator decides from the latest outcome
         observed = defaultdict(list)
         original = AggregatorPolicy.observe
 

@@ -199,6 +199,17 @@ class TestDragonStrategy:
                 totals[strategy] += run.total_time
         assert totals["dragon"] <= min(totals["device"], totals["cloud"]) * 1.01
 
+    def test_hand_off_on_rejection_pays_on_wan_link(self):
+        # 10 ms decode, 25 ms one way: handing the role to a side whose draft
+        # was just rejected spares its redraft the second link crossing
+        costs = CostVector(10.0, 10.0, 25.0, 25.0)
+        for seed in range(3):
+            trace = AcceptanceTrace.bernoulli(2000, 0.47, 0.45, seed=seed)
+            totals = {
+                s: simulate(trace, costs, QUIET, s).total_time for s in ("device", "cloud", "dragon")
+            }
+            assert totals["dragon"] <= 0.75 * min(totals["device"], totals["cloud"])
+
 
 class TestDecodeModels:
     def test_per_step_decode_model_drives_timing(self):
