@@ -1,11 +1,13 @@
 """Golden fixture of the simulator's adaptive strategy: side choice must never drift.
 
 `golden_sim.json` holds `(switches, side_history, total_time.hex())` of
-`simulate(..., "dragon")` for the cases in `CASES`, recorded before the side
-choice moved behind `scheduler.AggregatorPolicy`.  The side history is one
-letter per step (`d` device, `c` cloud) and the total time is compared bit
-for bit, so any change to the cost arithmetic, its order or the acceptance
-EMAs fails here.  The fixture is data, not a snapshot to refresh.
+`simulate(..., "dragon")` for the cases in `CASES`, under the switch-charged
+hand-off rule: after each step `scheduler.choose_side` compares staying with
+handing the role over along with the outcome, priced from that step's
+realized accept flags.  The side history is one letter per step (`d` device,
+`c` cloud) and the total time is compared bit for bit, so any change to the
+rule, the cost arithmetic or its order fails here.  The fixture is data, not
+a snapshot to refresh.
 
 `PYTHONPATH=src python tests/test_golden_sim.py` adds rows for cases the
 file lacks; it never rewrites existing rows.
