@@ -97,7 +97,15 @@ class TestChooseSide:
         acc = AcceptanceEstimate(1.0, 0.0)
         assert choose_side(Side.DEVICE, costs, acc) is Side.CLOUD
 
-    def test_hands_over_iff_cheaper_on_lattice(self):
+    def test_symmetric_tie_stays(self):
+        # both drafts accepted on a symmetric link: staying and handing over
+        # both wait max(c_l, c_r) = t_l, so the current side keeps the role
+        costs = CostVector(1.0, 1.0, 1.0, 1.0)
+        acc = AcceptanceEstimate(1.0, 1.0)
+        for current in Side:
+            assert choose_side(current, costs, acc) is current
+
+    def test_picks_lower_latency_side_on_lattice(self):
         # the next step's wait both ways, from the step just aggregated:
         # staying, a rejected remote side learns the outcome and sends its
         # redraft back (a round trip); handing over, the remote side takes
