@@ -137,11 +137,6 @@ class LogDist:
             return cls(vocab, np.log(p / total))
 
     @classmethod
-    def from_logits(cls, vocab: Vocab, logits: np.ndarray) -> "LogDist":
-        a = np.asarray(logits, dtype=np.float64)
-        return cls(vocab, a - logsumexp(a))
-
-    @classmethod
     def one_hot(cls, vocab: Vocab, token: int) -> "LogDist":
         return cls.from_support(vocab, [token], [0.0])
 

@@ -8,18 +8,20 @@ depth, or which node aggregates.  Three mechanisms carry that:
   * all sampling draws are step-indexed from the shared seed (rng module);
   * both sides aggregate over the wire-canonical form of every distribution,
     their own included, so local full-precision copies never leak in;
-  * stale speculative drafts are fenced off: a node's own queue by an epoch
-    counter, the aggregator's mirror of the remote side by a rollback-ack
-    barrier, and the non-aggregator's mirror by the FIFO ordering of drafts
-    behind the outcome message that invalidated them.
+  * stale speculative drafts of the peer are fenced off: the aggregator's
+    mirror of the remote side by a rollback-ack barrier, and the
+    non-aggregator's mirror by the FIFO ordering of drafts behind the outcome
+    message that invalidated them.  A node's own queue needs no fence: the
+    rollback runs on the thread that queues its own drafts.
 
-Thread layout per node: the thread that calls `run_node` runs the event
-loop, which owns all protocol state, handles every received message,
-aggregates inline while this node holds the role, and makes every send
-itself, in the order the state changed; that order is what the FIFO fence
-above relies on.  One decode worker thread owns the DecoderState and takes
-decode and rollback commands in order.  The loop's only blocking wait is
-`DelayedInbox.recv`, which the worker wakes when a draft is ready.
+One thread per node: the thread that calls `run_node` runs the event loop,
+which owns all protocol state and the DecoderState, handles every received
+message, aggregates inline while this node holds the role, decodes its own
+drafts, and makes every send itself, in the order the state changed; that
+order is what the FIFO fence above relies on.  An own decode is a timer: it
+starts when the gates allow, and once its injected delay has passed the
+loop drafts the token in one call.  The loop's only blocking wait is
+`DelayedInbox.recv`, bounded by that decode's due time.
 
 Side choice: each node feeds every outcome, its own or the peer's, to its
 `scheduler.AggregatorPolicy` in step order.  The aggregator then asks the
@@ -37,12 +39,10 @@ state dump.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from .aggregator import aggregate
 from .common import ProtocolError, Side
@@ -68,9 +68,6 @@ from .transport import (
 
 METRICS_CSV_HEADER = ("step", "token", "accept_l", "accept_r", "latency_ms")
 PEER_TIMEOUT_S = 120.0  # bound on the handshake, on generation and on the peer's shutdown
-# One decode running and the next queued, so the worker never idles waiting
-# for the loop; a deeper queue spends CPU on drafts that a rejection discards.
-DECODES_IN_FLIGHT = 2
 # The aggregator samples the link (an echo probe and a bandwidth reading) on
 # every this-many-th outcome, step 0 included; the estimates move slowly.
 LINK_SAMPLE_EVERY = 16
@@ -110,7 +107,6 @@ class NodeConfig:
     codec: Codec = Codec.NONE
     listen: tuple[str, int] | None = None
     peer: tuple[str, int] | None = None
-    connect_timeout: float = 30.0
 
     def resolve_half(self, side: Side | None = None) -> Half:
         side = side or self.role
@@ -181,86 +177,33 @@ def _canonical_record(rec: DraftRecord, top_p: float, decode_ms: float):
     return canonical, compressed
 
 
-class _DecodeWorker:
-    """The one thread a node starts.  It alone touches the DecoderState.
-
-    Commands run in the order the event loop queued them: `decode(epoch,
-    preempt)` drafts the next token, `rollback(prefix, next_input)` rewinds
-    the state.  Every decode posts (epoch, canonical record, compressed
-    distribution) to `results`, with None for both when it was preempted
-    before or during the injected decode delay, then wakes the loop.
-    """
-
-    def __init__(self, config: NodeConfig, state: DecoderState, wake) -> None:
-        self.config = config
-        self.state = state
-        self.results: queue.SimpleQueue = queue.SimpleQueue()
-        self._wake = wake
-        self._commands: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread = threading.Thread(
-            target=self._run, name=f"decode-{config.role}", daemon=True
-        )
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._commands.put(None)
-        self._thread.join(timeout=10.0)
-
-    def decode(self, epoch: int, preempt: threading.Event) -> None:
-        self._commands.put(partial(self._decode, epoch, preempt))
-
-    def rollback(self, prefix: list[int], next_input: int) -> None:
-        self._commands.put(partial(rollback, self.state, prefix, next_input))
-
-    def _run(self) -> None:
-        try:
-            while (command := self._commands.get()) is not None:
-                command()
-        except Exception as exc:  # noqa: BLE001 - re-raised on the event loop
-            self.results.put(exc)
-            self._wake()
-
-    def _decode(self, epoch: int, preempt: threading.Event) -> None:
-        cfg = self.config
-        started = time.perf_counter()
-        if preempt.wait(cfg.decode_delay_ms / 1000.0):
-            self.results.put((epoch, None, None))
-        else:
-            rerank(self.state)
-            rec = decode_step(self.state, decode_uniform(cfg.seed, self.state.gen_step))
-            decode_ms = (time.perf_counter() - started) * 1000.0
-            canonical, compressed = _canonical_record(rec, cfg.top_p, decode_ms)
-            self.results.put((epoch, canonical, compressed))
-        self._wake()
-
-
 class _NodeEngine:
     """The event loop of one node; it runs on the thread that calls `run`.
 
-    The protocol state below belongs to the loop alone, so none of it is
-    locked.  Sends block: two loops cannot stall on each other's sends while
-    the frames in flight per direction (at most `queue_capacity` drafts plus
-    a few control frames per draft) fit in the socket buffers, and a send
-    that stalls FRAME_TIMEOUT_S fails the run.
+    The protocol state below, the DecoderState included, belongs to the loop
+    alone, so none of it is locked.  At most one own decode is under way: it
+    is due `decode_delay_ms` after it starts, and `_finish_decode` drafts the
+    token once that time has passed.  Sends block: two loops cannot stall on
+    each other's sends while the frames in flight per direction (at most
+    `queue_capacity` drafts plus a few control frames per draft) fit in the
+    socket buffers, and a send that stalls FRAME_TIMEOUT_S fails the run.
     """
 
     def __init__(self, config: NodeConfig, state: DecoderState, stream: MessageStream) -> None:
         self.config = config
         self.role = config.role
+        self.state = state
         self.stream = stream
         self.inbox = DelayedInbox(stream, config.link_delay_ms)
-        self.worker = _DecodeWorker(config, state, self.inbox.wake)
 
         self.queues: dict[Side, deque[DraftRecord]] = {s: deque() for s in Side}
         self.next_expected: dict[Side, int] = {s: 0 for s in Side}
         self.awaiting_ack: dict[Side, int | None] = {s: None for s in Side}
         self.log_entries: list[TargetEntry] = []
         self.current_agg: Side = config.static_side or Side.DEVICE
-        self.epoch = 0
-        self.preempt = threading.Event()  # set when self.epoch moves on
-        self.in_flight = 0  # decode commands queued or running
+        # perf_counter times the own decode under way started and falls due
+        self.decode_started = 0.0
+        self.decode_due: float | None = None  # None: no own decode under way
         self.peer_hello = False
         self.switches = 0
 
@@ -285,7 +228,7 @@ class _NodeEngine:
         return (
             f"role={self.role} agg={self.current_agg} log={len(self.log_entries)} "
             f"queues(head,len)={heads} next_expected={self.next_expected} "
-            f"awaiting_ack={self.awaiting_ack} epoch={self.epoch}"
+            f"awaiting_ack={self.awaiting_ack} decoding={self.decode_due is not None}"
         )
 
     def _protocol_error(self, why: str) -> ProtocolError:
@@ -301,7 +244,7 @@ class _NodeEngine:
         accept_r: bool,
         remote: bool,
     ) -> None:
-        """Log append, policy update, queue maintenance and preemption."""
+        """Log append, policy update, queue maintenance and rollback."""
         if step != len(self.log_entries):
             raise self._protocol_error(f"outcome for step {step}, expected {len(self.log_entries)}")
         now = time.perf_counter()
@@ -323,11 +266,9 @@ class _NodeEngine:
                 drafts.clear()
                 self.next_expected[side] = step + 1
                 if side is self.role:
-                    self.epoch += 1
-                    self.preempt.set()
-                    self.preempt = threading.Event()
+                    self.decode_due = None  # its draft would follow the rejected one
                     prefix = self.config.prompt + [e.token for e in self.log_entries[:-1]]
-                    self.worker.rollback(prefix, target)
+                    rollback(self.state, prefix, target)
                     if remote:
                         self.stream.send(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step, t_send=now))
                 elif not remote:
@@ -341,48 +282,41 @@ class _NodeEngine:
 
     # ----------------------------------------------------------- own drafts
 
-    def _request_decodes(self) -> None:
-        """Keep up to DECODES_IN_FLIGHT decode commands queued, within the gates."""
+    def _start_decode(self) -> None:
+        """Start the next own decode if none is under way and the gates allow it."""
         cfg = self.config
-        while self.in_flight < DECODES_IN_FLIGHT:
-            step = self.next_expected[self.role] + self.in_flight
-            if step >= cfg.max_new_tokens:
-                return
-            if cfg.vanilla:
-                if self.in_flight or step != len(self.log_entries):
-                    return
-            elif len(self.queues[self.role]) + self.in_flight >= cfg.queue_capacity:
-                return
-            self.in_flight += 1
-            self.worker.decode(self.epoch, self.preempt)
+        step = self.next_expected[self.role]
+        if (
+            self.decode_due is not None
+            or step >= cfg.max_new_tokens
+            or (cfg.vanilla and step != len(self.log_entries))
+            or len(self.queues[self.role]) >= cfg.queue_capacity
+        ):
+            return
+        self.decode_started = time.perf_counter()
+        self.decode_due = self.decode_started + cfg.decode_delay_ms / 1000.0
 
-    def _drain_decodes(self) -> None:
-        while True:
-            try:
-                result = self.worker.results.get_nowait()
-            except queue.Empty:
-                return
-            if isinstance(result, BaseException):
-                raise result
-            self.in_flight -= 1
-            epoch, rec, compressed = result
-            if rec is None or epoch != self.epoch:
-                continue  # preempted, or rejected while decoding: drop the stale draft
-            if rec.step != self.next_expected[self.role]:
-                raise self._protocol_error(
-                    f"own draft step {rec.step} != expected {self.next_expected[self.role]}"
-                )
-            self.queues[self.role].append(rec)
-            self.next_expected[self.role] = rec.step + 1
-            self.profiler.observe_decode(
-                self.role, self.config.prompt_len_abs(rec.step), rec.decode_ms
+    def _finish_decode(self) -> None:
+        """Draft, queue and send the own decode under way once it is due."""
+        if self.decode_due is None or time.perf_counter() < self.decode_due:
+            return
+        self.decode_due = None
+        cfg = self.config
+        rerank(self.state)
+        rec = decode_step(self.state, decode_uniform(cfg.seed, self.state.gen_step))
+        decode_ms = (time.perf_counter() - self.decode_started) * 1000.0
+        if rec.step != self.next_expected[self.role]:
+            raise self._protocol_error(
+                f"own draft step {rec.step} != expected {self.next_expected[self.role]}"
             )
-            self._record_profile(rec.step, rec.decode_ms)
-            self.stream.send(
-                DraftMsg(
-                    step=rec.step, token=rec.token, h=rec.h, decode_ms=rec.decode_ms, dist=compressed
-                )
-            )
+        canonical, compressed = _canonical_record(rec, cfg.top_p, decode_ms)
+        self.queues[self.role].append(canonical)
+        self.next_expected[self.role] = rec.step + 1
+        self.profiler.observe_decode(self.role, cfg.prompt_len_abs(rec.step), decode_ms)
+        self._record_profile(rec.step, decode_ms)
+        self.stream.send(
+            DraftMsg(step=rec.step, token=rec.token, h=rec.h, decode_ms=decode_ms, dist=compressed)
+        )
 
     def _record_profile(self, step: int, decode_ms: float) -> None:
         t_abs = self.config.prompt_len_abs(step)
@@ -510,7 +444,6 @@ class _NodeEngine:
         self._started_at = started_at
         cfg = self.config
         try:
-            self.worker.start()
             self.stream.send(Hello())
             self._send_echo()  # so both nodes hold an RTT estimate before their first hand-off
             self._loop_until(lambda: self.peer_hello, "handshake")
@@ -524,8 +457,6 @@ class _NodeEngine:
                 pass
         finally:
             # on failure, closing the socket fails the peer fast as well
-            self.preempt.set()
-            self.worker.stop()
             self.inbox.close()
             self.stream.close()
         return NodeResult(
@@ -537,12 +468,12 @@ class _NodeEngine:
         )
 
     def _loop_until(self, done, label: str) -> None:
-        """Do all ready work, then wait for a message or a decode, until done()."""
+        """Do all ready work, then wait for a message or a due decode, until done()."""
         deadline = time.perf_counter() + PEER_TIMEOUT_S
         while True:
-            self._drain_decodes()
+            self._finish_decode()
             self._aggregate_ready()
-            self._request_decodes()
+            self._start_decode()
             if done():
                 return
             msg = self._recv(deadline, label)
@@ -550,10 +481,12 @@ class _NodeEngine:
                 self._handle(msg)
 
     def _recv(self, deadline: float, label: str):
-        try:
-            return self.inbox.recv(timeout=deadline - time.perf_counter())
-        except TimeoutError:
-            raise RuntimeError(f"timed out waiting for {label} [{self._dump()}]") from None
+        """Next due message, or None once the own decode under way falls due."""
+        now = time.perf_counter()
+        if now >= deadline:
+            raise RuntimeError(f"timed out waiting for {label} [{self._dump()}]")
+        wake_at = deadline if self.decode_due is None else min(deadline, self.decode_due)
+        return self.inbox.recv(timeout=wake_at - now)
 
 
 def run_node(config: NodeConfig) -> NodeResult:
@@ -564,12 +497,7 @@ def run_node(config: NodeConfig) -> NodeResult:
     if config.listen is not None:
         stream, _ = listen_once(*config.listen, codec=config.codec, vocab_size=config.vocab_size)
     elif config.peer is not None:
-        stream = connect(
-            *config.peer,
-            timeout=config.connect_timeout,
-            codec=config.codec,
-            vocab_size=config.vocab_size,
-        )
+        stream = connect(*config.peer, codec=config.codec, vocab_size=config.vocab_size)
     else:
         raise ValueError("config needs either listen or peer")
     engine = _NodeEngine(config, state, stream)

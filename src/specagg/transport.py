@@ -11,7 +11,8 @@ token) before reading it, and stops inflating a compressed body at the same
 size.  It also rejects a draft over another vocabulary or one whose token is
 not among its kept ids, so a draft that reaches the aggregator can be looked
 up by binary search.  Socket reads and writes on both roles time out after
-FRAME_TIMEOUT_S.
+FRAME_TIMEOUT_S, and both roles give up on reaching the peer after
+CONNECT_TIMEOUT_S.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ _PROBE = struct.Struct("<BId")
 _PAIR_DTYPE = np.dtype([("id", "<u4"), ("value", "<f2")])
 
 FRAME_TIMEOUT_S = 30.0  # a peer that stalls this long inside a read or write is gone
+CONNECT_TIMEOUT_S = 30.0  # how long `listen_once` and `connect` wait for the peer
 
 
 class MsgType(enum.IntEnum):
@@ -346,11 +348,10 @@ class MessageStream:
 class DelayedInbox:
     """Delivers received messages only after a fixed one-way delay.
 
-    Runs on the caller's thread.  `recv` waits on the socket and on a
-    wake-up socket pair at once; each frame read gets its due time stamped
-    on arrival and goes on a heap, and the socket is drained whenever it is
-    readable, so injected latency applies once, never per message.  `wake`,
-    safe from any thread, makes a waiting `recv` return None.
+    Runs on the caller's thread.  `recv` waits on the socket; each frame read
+    gets its due time stamped on arrival and goes on a heap, and the socket
+    is drained whenever it is readable, so injected latency applies once,
+    never per message.
     """
 
     def __init__(self, stream: MessageStream, delay_ms: float = 0.0) -> None:
@@ -359,18 +360,12 @@ class DelayedInbox:
         self._heap: list[tuple[float, int, Message]] = []
         self._seq = 0
         self._bye = False
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._wake_w.setblocking(False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        # select(2) takes its timeout in microseconds.  DefaultSelector is
+        # epoll on Linux, which rounds every timeout up to the next whole
+        # millisecond, and the event loop waits on this selector for decode
+        # and link delays that are not whole milliseconds.
+        self._selector = selectors.SelectSelector()
         self._selector.register(stream.fileno(), selectors.EVENT_READ)
-
-    def wake(self) -> None:
-        try:
-            self._wake_w.send(b"\0")
-        except BlockingIOError:
-            pass  # a wake-up is already pending
 
     def _read_frame(self) -> None:
         msg = self._stream.recv()
@@ -381,45 +376,34 @@ class DelayedInbox:
             self._selector.unregister(self._stream.fileno())
 
     def recv(self, timeout: float | None = None) -> Message | None:
-        """Next due message; None if woken first; TimeoutError after timeout."""
+        """Next due message, or None if none falls due within `timeout` seconds.
+
+        The socket is polled at least once, so a frame that has already
+        arrived is read even when the timeout is zero or negative.
+        """
         deadline = None if timeout is None else time.perf_counter() + timeout
+        polled = False
         while True:
             now = time.perf_counter()
             if self._heap and self._heap[0][0] <= now:
                 return heapq.heappop(self._heap)[2]
-            if self._heap:
-                wait = self._heap[0][0] - now
-            elif self._bye:
-                raise ConnectionClosedError("stream ended after bye")
-            else:
-                wait = None
-            if deadline is not None:
-                remaining = deadline - now
-                if remaining <= 0:
-                    raise TimeoutError("no message within timeout")
-                wait = remaining if wait is None else min(wait, remaining)
-            woken = False
-            for key, _ in self._selector.select(wait):
-                if key.fileobj is self._wake_r:
-                    while True:
-                        try:
-                            self._wake_r.recv(4096)
-                        except BlockingIOError:
-                            break
-                    woken = True
-                else:
-                    self._read_frame()
-            if woken:
+            if polled and deadline is not None and now >= deadline:
                 return None
+            due = self._heap[0][0] if self._heap else None
+            if due is None and self._bye:
+                raise ConnectionClosedError("stream ended after bye")
+            wake_at = min((t for t in (due, deadline) if t is not None), default=None)
+            wait = None if wake_at is None else max(0.0, wake_at - now)
+            for _ in self._selector.select(wait):
+                self._read_frame()
+            polled = True
 
     def close(self) -> None:
         self._selector.close()
-        self._wake_r.close()
-        self._wake_w.close()
 
 
 def listen_once(
-    host: str, port: int, timeout: float = 30.0, codec: Codec = Codec.NONE, *, vocab_size: int
+    host: str, port: int, codec: Codec = Codec.NONE, *, vocab_size: int
 ) -> tuple[MessageStream, int]:
     """Accept exactly one peer; returns the stream and the bound port."""
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -427,7 +411,7 @@ def listen_once(
     server.bind((host, port))
     bound_port = server.getsockname()[1]
     server.listen(1)
-    server.settimeout(timeout)
+    server.settimeout(CONNECT_TIMEOUT_S)
     try:
         conn, _ = server.accept()
     finally:
@@ -436,14 +420,12 @@ def listen_once(
     return MessageStream(conn, codec, vocab_size=vocab_size), bound_port
 
 
-def connect(
-    host: str, port: int, timeout: float = 30.0, codec: Codec = Codec.NONE, *, vocab_size: int
-) -> MessageStream:
+def connect(host: str, port: int, codec: Codec = Codec.NONE, *, vocab_size: int) -> MessageStream:
     """Connect to a listening peer, retrying briefly while it comes up."""
-    deadline = time.perf_counter() + timeout
+    deadline = time.perf_counter() + CONNECT_TIMEOUT_S
     while True:
         try:
-            sock = socket.create_connection((host, port), timeout=timeout)
+            sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             return MessageStream(sock, codec, vocab_size=vocab_size)
         except OSError:

@@ -1,6 +1,7 @@
 import socket
 import sys
 import threading
+import time
 import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
@@ -15,6 +16,7 @@ from specagg.decoder import decode_step, rerank
 from specagg.dists import topp_decode, topp_encode
 from specagg.retrieval import random_corpus
 from specagg.rng import aggregation_draws, decode_uniform
+from specagg import runtime
 from specagg.runtime import (
     NodeConfig,
     _NodeEngine,
@@ -181,8 +183,8 @@ class TestEventLoop:
 
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         run_loopback_pair(base_config(max_new_tokens=8))
-        for side in Side:
-            assert [t for by, t in started if by == f"node-{side}"] == [f"decode-{side}"]
+        # run_loopback_pair starts the two node threads; a node starts none
+        assert sorted(name for _, name in started) == ["node-cloud", "node-device"]
 
         started.clear()
         near, far = socket.socketpair()
@@ -238,8 +240,8 @@ class TestEventLoop:
             assert observed[f"node-{side}"] == rows
 
     def test_oracle_under_fast_thread_switching(self):
-        # four threads on two nodes; switching every 10 us shakes out any
-        # state the loop and the decode worker would share unguarded
+        # one thread per node, both in this process; switching every 10 us
+        # shakes out any state the two nodes would share unguarded
         cfg = base_config(max_new_tokens=32, queue_capacity=2)
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -316,6 +318,15 @@ class TestFailFast:
         for t in threads:
             t.join(timeout=60.0)
         assert any(isinstance(exc, RuntimeError) for exc in results.values())
+
+    def test_silent_peer_times_out(self, monkeypatch):
+        monkeypatch.setattr(runtime, "PEER_TIMEOUT_S", 0.3)
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            cfg = base_config(peer=server.getsockname())
+            started = time.perf_counter()
+            with pytest.raises(RuntimeError, match="timed out waiting for handshake"):
+                run_node(cfg)
+            assert time.perf_counter() - started < 2.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_context"):

@@ -267,6 +267,7 @@ class TestLiveStream:
         inbox = DelayedInbox(server, delay_ms=300.0)
         sent_at = time.perf_counter()
         client.send(Hello())
+        assert inbox.recv(timeout=0.1) is None  # read, but not due for 300 ms
         got = inbox.recv(timeout=5.0)
         elapsed_ms = (time.perf_counter() - sent_at) * 1000.0
         assert isinstance(got, Hello)
@@ -287,6 +288,22 @@ class TestLiveStream:
         assert [m.step for m in got] == list(range(n))
         # latency applies once, not per message
         assert elapsed_ms < 2 * 200.0
+        inbox.close()
+        client.close()
+        server.close()
+
+
+    def test_delay_shim_timer_resolution(self):
+        # the event loop waits here for sub-millisecond decode and link
+        # delays; a selector that rounds up to whole milliseconds reads 11 ms
+        client, server = loopback_pair()
+        inbox = DelayedInbox(server)
+        waits = []
+        for _ in range(20):
+            started = time.perf_counter()
+            assert inbox.recv(timeout=0.0101) is None
+            waits.append(time.perf_counter() - started)
+        assert np.median(waits) < 0.0109
         inbox.close()
         client.close()
         server.close()
