@@ -292,7 +292,6 @@ class TestLiveStream:
         client.close()
         server.close()
 
-
     def test_delay_shim_timer_resolution(self):
         # the event loop waits here for sub-millisecond decode and link
         # delays; a selector that rounds up to whole milliseconds reads 11 ms
