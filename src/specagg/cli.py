@@ -1,4 +1,4 @@
-"""Command-line entry point: node, simulate, verify, fit-profile.
+"""Command-line entry point: node, simulate, fit-profile.
 
 All outputs are CSV or newline-delimited logs; every subcommand is
 deterministic given --seed.
@@ -19,7 +19,6 @@ from .runtime import METRICS_CSV_HEADER, NodeConfig, run_node
 from .scheduler import CostVector
 from .simulator import AcceptanceTrace, NetModel, simulate
 from .transport import Codec
-from .verify import SUITES, run_suites
 
 log = logging.getLogger("specagg")
 
@@ -136,15 +135,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_suites(args.suite, trials=args.trials, seed=args.seed)
-    for check in results:
-        print(check.line())
-    failed = [c for c in results if not c.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return 1 if failed else 0
-
-
 def cmd_fit_profile(args: argparse.Namespace) -> int:
     samples = measure_decode_curve(
         vocab_size=args.vocab,
@@ -220,17 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--csv", help="per-token CSV path")
     sim.set_defaults(func=cmd_simulate)
-
-    ver = sub.add_parser("verify", help="run verification suites")
-    ver.add_argument(
-        "--suite",
-        action="append",
-        choices=SUITES + ("all",),
-        help="suite name; repeatable (default all)",
-    )
-    ver.add_argument("--trials", type=int, default=1_000_000)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.set_defaults(func=cmd_verify)
 
     fit = sub.add_parser("fit-profile", help="offline decode-latency fit from a dummy run")
     fit.add_argument("--vocab", type=int, default=256)

@@ -121,6 +121,10 @@ class NodeConfig:
     def validate(self) -> None:
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
+        if self.max_new_tokens < 0:
+            raise ValueError("max_new_tokens must be >= 0")
+        if self.decode_delay_ms < 0.0 or self.link_delay_ms < 0.0:
+            raise ValueError("decode and link delays must be >= 0")
         if len(self.prompt) + self.max_new_tokens > self.max_context:
             raise ValueError(
                 f"prompt ({len(self.prompt)}) + max_new_tokens ({self.max_new_tokens}) "

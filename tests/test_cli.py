@@ -62,21 +62,6 @@ class TestSimulate:
         assert run_cli("simulate").returncode != 0
 
 
-class TestVerifyCommand:
-    def test_pipelines_suite_passes(self):
-        result = run_cli("verify", "--suite", "pipelines")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert result.stdout.count("[PASS]") == 4
-
-    def test_aggregation_suite_small_trials(self):
-        result = run_cli("verify", "--suite", "aggregation", "--trials", "50000")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "target-law-tv" in result.stdout
-
-    def test_unknown_suite_rejected(self):
-        assert run_cli("verify", "--suite", "nope").returncode != 0
-
-
 class TestNodeCommand:
     def test_loopback_pair_identical_logs(self, corpus_file, prompt_text, tmp_path):
         port = free_port()

@@ -94,6 +94,7 @@ class TestDecodeCurve:
         assert all(c >= 0.0 for _, c in samples)
 
     def test_fit_recovers_injected_delay(self):
+        requests = []
         samples = measure_decode_curve(
             vocab_size=64,
             n_docs=2,
@@ -102,10 +103,11 @@ class TestDecodeCurve:
             repeats=1,
             seed=2,
             sleep_ms=3.0,
-            sleeper=lambda s: None,  # count the request, skip the wall wait
+            sleeper=requests.append,  # record the request, skip the wall wait
         )
-        # with the sleeper stubbed out the curve is just compute time
-        assert all(c < 3.0 for _, c in samples)
+        # one 3 ms sleep is requested inside each timed step
+        assert len(samples) == 12
+        assert requests == [0.003] * len(samples)
 
     def test_predictions_finite_nonnegative(self):
         samples = measure_decode_curve(

@@ -335,3 +335,11 @@ class TestFailFast:
             base_config(vocab_size=16).validate()
         with pytest.raises(ValueError, match="listen"):
             run_node(base_config())
+
+    def test_config_rejects_negative_length_and_delays(self):
+        with pytest.raises(ValueError, match="max_new_tokens"):
+            base_config(max_new_tokens=-3).validate()
+        with pytest.raises(ValueError, match="delays"):
+            base_config(decode_delay_ms=-2.0).validate()
+        with pytest.raises(ValueError, match="delays"):
+            base_config(link_delay_ms=-5.0).validate()

@@ -64,8 +64,9 @@ class TestDeltaZ:
             assert piecewise == pytest.approx(direct, abs=1e-9)
 
     def test_continuity_at_breakpoints(self):
-        acc = AcceptanceEstimate(0.35, 0.8)
-        for rtt in (0.5, 2.0):
+        rates = itertools.product((0.0, 0.3, 0.35, 1.0), (0.0, 0.7, 0.8, 1.0))
+        for (a_l, a_r), rtt in itertools.product(rates, (0.5, 1.0, 2.0)):
+            acc = AcceptanceEstimate(a_l, a_r)
             for edge in (3.0 - rtt, 3.0, 3.0 + rtt):
                 below = delta_z(CostVector(edge - 1e-9, 3.0, rtt / 2, rtt / 2), acc)
                 above = delta_z(CostVector(edge + 1e-9, 3.0, rtt / 2, rtt / 2), acc)

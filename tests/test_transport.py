@@ -106,11 +106,12 @@ class TestRoundTrips:
         assert decoded == msg
 
     def test_random_fuzz(self):
-        rng = np.random.default_rng(0)
-        for _ in range(500):
-            msg = random_message(rng)
-            decoded, _ = decode_frame(encode_frame(msg))
-            assert decoded == msg
+        for codec in Codec:
+            rng = np.random.default_rng(0)
+            for _ in range(500):
+                msg = random_message(rng)
+                decoded, _ = decode_frame(encode_frame(msg, codec))
+                assert decoded == msg
 
     def test_stream_self_delimiting(self):
         rng = np.random.default_rng(1)
