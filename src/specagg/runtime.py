@@ -1,5 +1,5 @@
 """Live dual-node engine: producer decoders, draft queues, one movable
-aggregator, and the preemption/rollback machinery around rejections.
+aggregator, and the rollback machinery around rejections.
 
 Output invariance is the core contract: the emitted token sequence depends
 only on (corpus, prompt, seed, vocab, k, top-p), never on timing, queue
@@ -21,7 +21,9 @@ drafts, and makes every send itself, in the order the state changed; that
 order is what the FIFO fence above relies on.  An own decode is a timer: it
 starts when the gates allow, and once its injected delay has passed the
 loop drafts the token in one call.  The loop's only blocking wait is
-`DelayedInbox.recv`, bounded by that decode's due time.
+`DelayedInbox.recv`, bounded by that decode's due time.  The inbox comes
+first: every message already due is handled before the loop finishes or
+starts another own decode, so no outcome waits behind speculative drafts.
 
 Side choice: each node feeds every outcome, its own or the peer's, to its
 `scheduler.AggregatorPolicy` in step order.  The aggregator then asks the
@@ -31,7 +33,8 @@ step's realized outcome and charges a hand-off the outcome's one-way trip;
 a hand-off travels with the outcome, so a peer whose draft was just
 rejected takes the role and redrafts without a second link crossing.  Each
 node sends one echo probe right after its Hello, so both hold an RTT
-estimate before their first decision.
+estimate before their first decision; its reply waits behind both nodes'
+cold first decode, so the first in-run reply replaces it.
 
 Failures are surfaced, never papered over: any step desync raises with a
 state dump.
@@ -371,7 +374,10 @@ class _NodeEngine:
             self.stream.send(ProbeMsg(ProbeKind.ECHO_REPLY, seq=msg.seq, t_send=msg.t_send))
         elif msg.kind is ProbeKind.ECHO_REPLY:
             rtt_ms = (time.perf_counter() - msg.t_send) * 1000.0
-            self.rtt_ema = rtt_ms if self.rtt_ema is None else 0.8 * self.rtt_ema + 0.2 * rtt_ms
+            # the handshake's reply (seq 1) waited behind both cold first
+            # decodes, so the first in-run reply replaces it, not blends in
+            seed = self.rtt_ema is None or msg.seq == 2
+            self.rtt_ema = rtt_ms if seed else 0.8 * self.rtt_ema + 0.2 * rtt_ms
         elif msg.kind is ProbeKind.ROLLBACK_ACK:
             if self.awaiting_ack[peer] != msg.seq:
                 raise self._protocol_error(f"unexpected rollback ack for step {msg.seq}")
@@ -472,7 +478,14 @@ class _NodeEngine:
         )
 
     def _loop_until(self, done, label: str) -> None:
-        """Do all ready work, then wait for a message or a due decode, until done()."""
+        """Run the event loop until done().
+
+        Each pass finishes the own decode if it is due, aggregates what is
+        ready and starts the next own decode, then waits for a message or
+        that decode's due time.  Every message already due is handled before
+        the next pass, unless done() holds first: the peer's Bye may follow
+        the last outcome.  PEER_TIMEOUT_S bounds every receive.
+        """
         deadline = time.perf_counter() + PEER_TIMEOUT_S
         while True:
             self._finish_decode()
@@ -481,16 +494,20 @@ class _NodeEngine:
             if done():
                 return
             msg = self._recv(deadline, label)
-            if msg is not None:
+            while msg is not None:
                 self._handle(msg)
+                if done():
+                    break
+                msg = self._recv(deadline, label, wait=False)
 
-    def _recv(self, deadline: float, label: str):
-        """Next due message, or None once the own decode under way falls due."""
+    def _recv(self, deadline: float, label: str, wait: bool = True):
+        """Next due message; None once the own decode under way falls due, or
+        at once if `wait` is false and no message is due."""
         now = time.perf_counter()
         if now >= deadline:
             raise RuntimeError(f"timed out waiting for {label} [{self._dump()}]")
         wake_at = deadline if self.decode_due is None else min(deadline, self.decode_due)
-        return self.inbox.recv(timeout=wake_at - now)
+        return self.inbox.recv(timeout=wake_at - now if wait else 0.0)
 
 
 def run_node(config: NodeConfig) -> NodeResult:

@@ -394,8 +394,10 @@ class DelayedInbox:
                 raise ConnectionClosedError("stream ended after bye")
             wake_at = min((t for t in (due, deadline) if t is not None), default=None)
             wait = None if wake_at is None else max(0.0, wake_at - now)
-            for _ in self._selector.select(wait):
+            ready = self._selector.select(wait)
+            while ready and not self._bye:  # stamp every held frame on its arrival
                 self._read_frame()
+                ready = self._selector.select(0.0)
             polled = True
 
     def close(self) -> None:

@@ -27,7 +27,15 @@ from specagg.runtime import (
     sequential_reference,
 )
 from specagg.scheduler import AggregatorPolicy
-from specagg.transport import Codec, DelayedInbox, MessageStream, ProbeKind, ProbeMsg
+from specagg.transport import (
+    Codec,
+    DelayedInbox,
+    DraftMsg,
+    Hello,
+    MessageStream,
+    ProbeKind,
+    ProbeMsg,
+)
 
 
 def base_config(**overrides) -> NodeConfig:
@@ -222,6 +230,68 @@ class TestEventLoop:
         run_loopback_pair(base_config(max_new_tokens=40, decode_delay_ms=2.0, link_delay_ms=5.0))
         assert decisions[Side.CLOUD]
         assert not any(decisions[Side.CLOUD])
+
+    def test_arrived_frames_handled_before_next_decode(self, monkeypatch):
+        # frames already in the socket are all handled before the loop
+        # finishes another own decode, so outcomes are never left queued
+        # behind speculative drafts
+        cfg = base_config(role=Side.CLOUD, max_new_tokens=12)
+        peer_state = build_decoder(cfg, Side.DEVICE)
+        drafts = []
+        for step in range(4):
+            rerank(peer_state)
+            rec = decode_step(peer_state, decode_uniform(cfg.seed, step))
+            dist = topp_encode(rec.dist, cfg.top_p, force_token=rec.token)
+            drafts.append(DraftMsg(step=step, token=rec.token, h=rec.h, decode_ms=1.0, dist=dist))
+        near, far = socket.socketpair()
+        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
+        peer = MessageStream(far, vocab_size=256)
+        frames = [Hello(), *drafts, ProbeMsg(ProbeKind.ECHO_REQUEST, seq=1, t_send=0.0)]
+        for msg in frames:
+            peer.send(msg)
+
+        events = []
+        handle, own_decode = _NodeEngine._handle, runtime.decode_step
+
+        def recording_handle(self, msg):
+            events.append(type(msg).__name__)
+            handle(self, msg)
+
+        def recording_decode(state, u):
+            rec = own_decode(state, u)
+            events.append("own-decode")
+            return rec
+
+        monkeypatch.setattr(_NodeEngine, "_handle", recording_handle)
+        monkeypatch.setattr(runtime, "decode_step", recording_decode)
+        engine._loop_until(lambda: events.count("own-decode") >= 2, "test")
+        assert events[: len(frames)] == [type(m).__name__ for m in frames]
+        assert events[len(frames) :] == ["own-decode", "own-decode"]
+        assert [r.step for r in engine.queues[Side.DEVICE]] == [0, 1, 2, 3]
+        engine.inbox.close()
+        engine.stream.close()
+        peer.close()
+
+    def test_first_in_run_echo_replaces_handshake_rtt(self, monkeypatch):
+        # the handshake's reply waits behind both nodes' cold first decode;
+        # the first in-run reply replaces it, later ones blend in
+        near, far = socket.socketpair()
+        cfg = base_config()
+        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
+        monkeypatch.setattr(runtime.time, "perf_counter", lambda: 10.0)
+
+        def reply(seq, rtt_ms):
+            t_send = 10.0 - rtt_ms / 1000.0
+            engine._on_probe(Side.CLOUD, ProbeMsg(ProbeKind.ECHO_REPLY, seq=seq, t_send=t_send))
+            return engine.rtt_ema
+
+        assert reply(1, 18.0) == pytest.approx(18.0)
+        assert reply(2, 1.0) == pytest.approx(1.0)
+        assert reply(3, 2.0) == pytest.approx(0.8 * 1.0 + 0.2 * 2.0)
+        monkeypatch.undo()
+        engine.inbox.close()
+        engine.stream.close()
+        far.close()
 
     def test_every_node_observes_every_outcome(self, monkeypatch):
         # the node that did not aggregate a step learns its outcome too, so

@@ -19,6 +19,7 @@ from specagg.transport import (
     FrameLengthError,
     Hello,
     MalformedMessageError,
+    MessageStream,
     MsgType,
     ProbeKind,
     ProbeMsg,
@@ -289,6 +290,42 @@ class TestLiveStream:
         assert [m.step for m in got] == list(range(n))
         # latency applies once, not per message
         assert elapsed_ms < 2 * 200.0
+        inbox.close()
+        client.close()
+        server.close()
+
+    def test_delay_shim_reads_every_frame_already_held(self):
+        # the link delay counts from a frame's arrival, not from whenever the
+        # loop gets round to reading it
+        near, far = socket.socketpair()
+        client = MessageStream(far, vocab_size=FUZZ_VOCAB)
+        server = MessageStream(near, vocab_size=FUZZ_VOCAB)
+        inbox = DelayedInbox(server, delay_ms=200.0)
+        n = 12
+        sent_at = time.perf_counter()
+        for i in range(n):
+            client.send(TargetMsg(step=i, target=0, accept_l=True, accept_r=True))
+        assert inbox.recv(timeout=0.0) is None  # all read, none due yet
+        read_by = time.perf_counter()
+        assert len(inbox._heap) == n
+        for due, _, _ in inbox._heap:
+            assert sent_at + 0.2 <= due <= read_by + 0.2
+        inbox.close()
+        client.close()
+        server.close()
+
+    def test_delay_shim_stops_reading_at_bye(self):
+        near, far = socket.socketpair()
+        client = MessageStream(far, vocab_size=FUZZ_VOCAB)
+        server = MessageStream(near, vocab_size=FUZZ_VOCAB)
+        inbox = DelayedInbox(server, delay_ms=200.0)
+        for i in range(3):
+            client.send(TargetMsg(step=i, target=0, accept_l=True, accept_r=True))
+        client.send(Bye())
+        client.send(Hello())  # after Bye: the peer may close, so it stays unread
+        assert inbox.recv(timeout=0.0) is None
+        assert [type(m) for _, _, m in sorted(inbox._heap)] == [TargetMsg] * 3 + [Bye]
+        assert isinstance(server.recv(), Hello)
         inbox.close()
         client.close()
         server.close()
