@@ -208,9 +208,8 @@ class _NodeEngine:
         self.awaiting_ack: dict[Side, int | None] = {s: None for s in Side}
         self.log_entries: list[TargetEntry] = []
         self.current_agg: Side = config.static_side or Side.DEVICE
-        # perf_counter times the own decode under way started and falls due
-        self.decode_started = 0.0
-        self.decode_due: float | None = None  # None: no own decode under way
+        # perf_counter time the own decode under way falls due; None: none is
+        self.decode_due: float | None = None
         self.peer_hello = False
         self.switches = 0
 
@@ -220,6 +219,8 @@ class _NodeEngine:
         self.bw_obs: float = 0.0
         self._bw_mark: tuple[float, int] | None = None
         self._probe_seq = 0
+        self._handshake_probe: int | None = None  # seq of the echo sent with Hello
+        self._rtt_blend = False  # False until a reply after the handshake's
         self._last_outcome_at: float | None = None
         self.ttft_ms: float = 0.0
         self._started_at = 0.0
@@ -300,8 +301,7 @@ class _NodeEngine:
             or len(self.queues[self.role]) >= cfg.queue_capacity
         ):
             return
-        self.decode_started = time.perf_counter()
-        self.decode_due = self.decode_started + cfg.decode_delay_ms / 1000.0
+        self.decode_due = time.perf_counter() + cfg.decode_delay_ms / 1000.0
 
     def _finish_decode(self) -> None:
         """Draft, queue and send the own decode under way once it is due."""
@@ -309,9 +309,10 @@ class _NodeEngine:
             return
         self.decode_due = None
         cfg = self.config
+        computed = time.perf_counter()  # not the message handling since it fell due
         rerank(self.state)
         rec = decode_step(self.state, decode_uniform(cfg.seed, self.state.gen_step))
-        decode_ms = (time.perf_counter() - self.decode_started) * 1000.0
+        decode_ms = cfg.decode_delay_ms + (time.perf_counter() - computed) * 1000.0
         if rec.step != self.next_expected[self.role]:
             raise self._protocol_error(
                 f"own draft step {rec.step} != expected {self.next_expected[self.role]}"
@@ -374,10 +375,11 @@ class _NodeEngine:
             self.stream.send(ProbeMsg(ProbeKind.ECHO_REPLY, seq=msg.seq, t_send=msg.t_send))
         elif msg.kind is ProbeKind.ECHO_REPLY:
             rtt_ms = (time.perf_counter() - msg.t_send) * 1000.0
-            # the handshake's reply (seq 1) waited behind both cold first
-            # decodes, so the first in-run reply replaces it, not blends in
-            seed = self.rtt_ema is None or msg.seq == 2
-            self.rtt_ema = rtt_ms if seed else 0.8 * self.rtt_ema + 0.2 * rtt_ms
+            # the handshake's reply waited behind both cold first decodes, so
+            # the reply after it replaces its estimate instead of blending in
+            blend = self._rtt_blend
+            self.rtt_ema = 0.8 * self.rtt_ema + 0.2 * rtt_ms if blend else rtt_ms
+            self._rtt_blend = msg.seq != self._handshake_probe
         elif msg.kind is ProbeKind.ROLLBACK_ACK:
             if self.awaiting_ack[peer] != msg.seq:
                 raise self._protocol_error(f"unexpected rollback ack for step {msg.seq}")
@@ -433,11 +435,12 @@ class _NodeEngine:
         chosen = self.policy.next_side(self.role, c_dec, c_trans)
         return chosen if chosen is not self.role else None
 
-    def _send_echo(self) -> None:
+    def _send_echo(self) -> int:
         self._probe_seq += 1
         self.stream.send(
             ProbeMsg(ProbeKind.ECHO_REQUEST, seq=self._probe_seq, t_send=time.perf_counter())
         )
+        return self._probe_seq
 
     def _update_bandwidth(self) -> None:
         now = time.perf_counter()
@@ -455,7 +458,7 @@ class _NodeEngine:
         cfg = self.config
         try:
             self.stream.send(Hello())
-            self._send_echo()  # so both nodes hold an RTT estimate before their first hand-off
+            self._handshake_probe = self._send_echo()  # an RTT estimate before any hand-off
             self._loop_until(lambda: self.peer_hello, "handshake")
             if cfg.max_new_tokens == 0:
                 self.ttft_ms = (time.perf_counter() - started_at) * 1000.0
@@ -478,14 +481,9 @@ class _NodeEngine:
         )
 
     def _loop_until(self, done, label: str) -> None:
-        """Run the event loop until done().
-
-        Each pass finishes the own decode if it is due, aggregates what is
-        ready and starts the next own decode, then waits for a message or
-        that decode's due time.  Every message already due is handled before
-        the next pass, unless done() holds first: the peer's Bye may follow
-        the last outcome.  PEER_TIMEOUT_S bounds every receive.
-        """
+        """Until done(): finish a due own decode, aggregate, start the next,
+        then wait for a message and handle every message already due, unless
+        done() holds first (the peer's Bye may follow the last outcome)."""
         deadline = time.perf_counter() + PEER_TIMEOUT_S
         while True:
             self._finish_decode()

@@ -18,10 +18,12 @@ CONNECT_TIMEOUT_S.
 from __future__ import annotations
 
 import enum
+import fcntl
 import heapq
 import selectors
 import socket
 import struct
+import termios
 import time
 import zlib
 from dataclasses import dataclass
@@ -349,9 +351,9 @@ class DelayedInbox:
     """Delivers received messages only after a fixed one-way delay.
 
     Runs on the caller's thread.  `recv` waits on the socket; each frame read
-    gets its due time stamped on arrival and goes on a heap, and the socket
-    is drained whenever it is readable, so injected latency applies once,
-    never per message.
+    gets its due time stamped on arrival and goes on a heap, and each time
+    the socket is readable every frame it holds is read, so injected latency
+    applies once, never per message.
     """
 
     def __init__(self, stream: MessageStream, delay_ms: float = 0.0) -> None:
@@ -394,10 +396,14 @@ class DelayedInbox:
                 raise ConnectionClosedError("stream ended after bye")
             wake_at = min((t for t in (due, deadline) if t is not None), default=None)
             wait = None if wake_at is None else max(0.0, wake_at - now)
-            ready = self._selector.select(wait)
-            while ready and not self._bye:  # stamp every held frame on its arrival
+            if self._selector.select(wait):
+                # stamp every frame the socket holds on its arrival, and read
+                # no further: a peer that never stops sending cannot hold us
+                held = fcntl.ioctl(self._stream.fileno(), termios.FIONREAD, bytes(4))
+                until = self._stream.bytes_received + struct.unpack("i", held)[0]
                 self._read_frame()
-                ready = self._selector.select(0.0)
+                while not self._bye and self._stream.bytes_received < until:
+                    self._read_frame()
             polled = True
 
     def close(self) -> None:

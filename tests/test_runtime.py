@@ -272,12 +272,17 @@ class TestEventLoop:
         engine.stream.close()
         peer.close()
 
-    def test_first_in_run_echo_replaces_handshake_rtt(self, monkeypatch):
+    @pytest.mark.parametrize("earlier_probes", [0, 3])
+    def test_first_in_run_echo_replaces_handshake_rtt(self, monkeypatch, earlier_probes):
         # the handshake's reply waits behind both nodes' cold first decode;
-        # the first in-run reply replaces it, later ones blend in
+        # the reply after it replaces its estimate, later ones blend in.
+        # The handshake probe is the one run() records, whatever its seq.
         near, far = socket.socketpair()
         cfg = base_config()
         engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
+        for _ in range(earlier_probes):
+            engine._send_echo()
+        engine._handshake_probe = engine._send_echo()
         monkeypatch.setattr(runtime.time, "perf_counter", lambda: 10.0)
 
         def reply(seq, rtt_ms):
@@ -285,10 +290,35 @@ class TestEventLoop:
             engine._on_probe(Side.CLOUD, ProbeMsg(ProbeKind.ECHO_REPLY, seq=seq, t_send=t_send))
             return engine.rtt_ema
 
-        assert reply(1, 18.0) == pytest.approx(18.0)
-        assert reply(2, 1.0) == pytest.approx(1.0)
-        assert reply(3, 2.0) == pytest.approx(0.8 * 1.0 + 0.2 * 2.0)
+        hs = engine._handshake_probe
+        assert hs == earlier_probes + 1
+        assert reply(hs, 18.0) == pytest.approx(18.0)
+        assert reply(hs + 1, 1.0) == pytest.approx(1.0)
+        assert reply(hs + 2, 2.0) == pytest.approx(0.8 * 1.0 + 0.2 * 2.0)
+        assert reply(hs + 3, 2.0) == pytest.approx(0.8 * 1.2 + 0.2 * 2.0)
         monkeypatch.undo()
+        engine.inbox.close()
+        engine.stream.close()
+        far.close()
+
+    def test_decode_ms_excludes_time_past_due(self, monkeypatch):
+        # a decode that fell due while the loop handled messages is charged
+        # its injected delay and its compute, not that handling time, so the
+        # profiler and the peer's scheduler learn the decode cost alone
+        near, far = socket.socketpair()
+        cfg = base_config(decode_delay_ms=5.0)
+        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
+        clock = [100.0]
+        monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
+        engine._start_decode()
+        assert engine.decode_due == pytest.approx(100.005)
+        clock[0] = 160.0  # the loop got back a minute after the decode fell due
+        engine._finish_decode()
+        monkeypatch.undo()
+        assert engine.queues[cfg.role][-1].decode_ms == pytest.approx(5.0)
+        assert engine.profile_rows[-1][1] == pytest.approx(5.0)
+        sent = MessageStream(far, vocab_size=256).recv()
+        assert isinstance(sent, DraftMsg) and sent.decode_ms == pytest.approx(5.0)
         engine.inbox.close()
         engine.stream.close()
         far.close()

@@ -330,6 +330,36 @@ class TestLiveStream:
         client.close()
         server.close()
 
+    def test_delay_shim_returns_under_a_flood(self, monkeypatch):
+        # a peer that never stops sending cannot hold recv: one call reads
+        # what the socket held when it was found readable, and no more.
+        # Every read here puts the peer's next frame in the socket at once.
+        near, far = socket.socketpair()
+        client = MessageStream(far, vocab_size=FUZZ_VOCAB)
+        server = MessageStream(near, vocab_size=FUZZ_VOCAB)
+        inbox = DelayedInbox(server, delay_ms=200.0)
+        n = 20
+        for i in range(n):
+            client.send(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=i, t_send=0.0))
+        read = server.recv
+        reads = []
+
+        def read_and_refill():
+            msg = read()
+            reads.append(msg.seq)
+            if len(reads) > 10 * n:
+                raise AssertionError("recv kept reading a peer that never stops")
+            client.send(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=n + len(reads), t_send=0.0))
+            return msg
+
+        monkeypatch.setattr(server, "recv", read_and_refill)
+        assert inbox.recv(timeout=0.0) is None  # returned, nothing due yet
+        assert reads == list(range(n))
+        assert len(inbox._heap) == n
+        inbox.close()
+        client.close()
+        server.close()
+
     def test_delay_shim_timer_resolution(self):
         # the event loop waits here for sub-millisecond decode and link
         # delays; a selector that rounds up to whole milliseconds reads 11 ms

@@ -3,13 +3,14 @@
 Two subcommands:
 
     python3 tools/bench_pairs.py run --parent DIR --change DIR --rows rows.jsonl \\
-        --workloads lan-v256,lan-v32k,wan-v256 --seeds 1-10 --seconds 30 [--trace 1]
+        --workloads lan-v256,lan-v32k,wan-v256 --seeds 1-10 [--trace 1]
     python3 tools/bench_pairs.py summarize --rows rows.jsonl --meta meta.json --out BENCH_x.json
 
 `run` runs `python3 specbench/run.py` from each checkout in turn, one run at a
-time: the parent first on odd seeds and the change first on even seeds, and
-for each seed the workloads back to back.  Each run appends one JSON row to
-`--rows`, so an interrupted recording keeps what it measured.
+time and for the `run_seconds` that BENCHMARK.json fixes: the parent first
+on odd seeds and the change first on even seeds, and for each seed the
+workloads back to back.  Each run appends one JSON row to `--rows`, so an
+interrupted recording keeps what it measured.
 
 `summarize` turns the untraced rows into the schema of the committed
 BENCH_*.json files: per workload and end-to-end metric, the parent's and the
@@ -70,12 +71,13 @@ def parse_output(stdout: str) -> dict:
 def record(args: argparse.Namespace) -> int:
     checkouts = {"parent": Path(args.parent), "change": Path(args.change)}
     rows = Path(args.rows)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     for seed in parse_seeds(args.seeds):
         for workload in args.workloads.split(","):
             for side in run_order(seed):
                 cmd = [
                     sys.executable, "specbench/run.py", "--workload", workload,
-                    "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(args.trace),
+                    "--seed", str(seed), "--seconds", str(seconds), "--trace", str(args.trace),
                 ]
                 started = time.perf_counter()
                 proc = subprocess.run(cmd, cwd=checkouts[side], capture_output=True, text=True)
@@ -218,7 +220,6 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--rows", required=True, help="JSON-lines file the runs append to")
     run_p.add_argument("--workloads", default="lan-v256,lan-v32k,wan-v256")
     run_p.add_argument("--seeds", default="1-10")
-    run_p.add_argument("--seconds", type=float, default=30.0)
     run_p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     sum_p = sub.add_parser("summarize", help="write a BENCH file from recorded rows")
     sum_p.add_argument("--rows", required=True)
