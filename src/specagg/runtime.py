@@ -481,11 +481,13 @@ class _NodeEngine:
         )
 
     def _loop_until(self, done, label: str) -> None:
-        """Until done(): finish a due own decode, aggregate, start the next,
-        then wait for a message and handle every message already due, unless
-        done() holds first (the peer's Bye may follow the last outcome)."""
+        """Until done(): aggregate, finish a due own decode, aggregate, start
+        the next, then wait for a message and handle every message already
+        due, unless done() holds first (the peer's Bye may follow the last
+        outcome).  Aggregating first spares a decode an own rejection voids."""
         deadline = time.perf_counter() + PEER_TIMEOUT_S
         while True:
+            self._aggregate_ready()
             self._finish_decode()
             self._aggregate_ready()
             self._start_decode()
@@ -499,8 +501,7 @@ class _NodeEngine:
                 msg = self._recv(deadline, label, wait=False)
 
     def _recv(self, deadline: float, label: str, wait: bool = True):
-        """Next due message; None once the own decode under way falls due, or
-        at once if `wait` is false and no message is due."""
+        """Next due message; None once the own decode falls due, or at once if not `wait`."""
         now = time.perf_counter()
         if now >= deadline:
             raise RuntimeError(f"timed out waiting for {label} [{self._dump()}]")

@@ -272,6 +272,42 @@ class TestEventLoop:
         engine.stream.close()
         peer.close()
 
+    def test_ready_heads_aggregated_before_next_decode(self, monkeypatch):
+        # a peer draft that completes the heads is aggregated before the own
+        # decode already due finishes: the outcome goes out a decode sooner,
+        # and an own rejection cancels that decode instead of wasting it
+        cfg = base_config(role=Side.DEVICE, max_new_tokens=12)
+        peer_state = build_decoder(cfg, Side.CLOUD)
+        rerank(peer_state)
+        rec = decode_step(peer_state, decode_uniform(cfg.seed, 0))
+        dist = topp_encode(rec.dist, cfg.top_p, force_token=rec.token)
+        peer_draft = DraftMsg(step=0, token=rec.token, h=rec.h, decode_ms=1.0, dist=dist)
+        near, far = socket.socketpair()
+        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
+        peer = MessageStream(far, vocab_size=256)
+
+        events = []
+        own_decode, own_aggregate = runtime.decode_step, runtime.aggregate
+
+        def recording_decode(state, u):
+            rec = own_decode(state, u)
+            events.append(f"own-decode {rec.step}")
+            if rec.step == 0:
+                peer.send(peer_draft)  # arrives while own decode 1 is due
+            return rec
+
+        def recording_aggregate(dev, cloud, draws):
+            events.append(f"aggregate {dev.step}")
+            return own_aggregate(dev, cloud, draws)
+
+        monkeypatch.setattr(runtime, "decode_step", recording_decode)
+        monkeypatch.setattr(runtime, "aggregate", recording_aggregate)
+        engine._loop_until(lambda: len(events) >= 3, "test")
+        assert events == ["own-decode 0", "aggregate 0", "own-decode 1"]
+        engine.inbox.close()
+        engine.stream.close()
+        peer.close()
+
     @pytest.mark.parametrize("earlier_probes", [0, 3])
     def test_first_in_run_echo_replaces_handshake_rtt(self, monkeypatch, earlier_probes):
         # the handshake's reply waits behind both nodes' cold first decode;
