@@ -212,8 +212,6 @@ class _NodeEngine:
         self.decode_due: float | None = None
         self.peer_hello = False
         self.switches = 0
-        self.own_accepted = [1, 1]  # own drafts accepted, aggregated; a prior of one
-        self.compute_ms = 0.0  # the last own decode's compute, its injected delay not
 
         self.policy = AggregatorPolicy()
         self.profiler = SideProfiler()
@@ -266,7 +264,6 @@ class _NodeEngine:
         self.policy.observe(accept_l, accept_r)
 
         accepted = {Side.DEVICE: accept_l, Side.CLOUD: accept_r}
-        self.own_accepted = [self.own_accepted[0] + accepted[self.role], self.own_accepted[1] + 1]
         for side in Side:
             drafts = self.queues[side]
             if accepted[side]:
@@ -294,24 +291,14 @@ class _NodeEngine:
     # ----------------------------------------------------------- own drafts
 
     def _start_decode(self) -> None:
-        """Start the next own decode if none is under way and the gates allow it.
-
-        A draft queued behind q own drafts is used only if all q are
-        accepted: about a**q of the time, for a the share of own drafts
-        accepted so far.  Used, it saves its step a decode's wait; wasted,
-        its compute held this loop and a core.  It starts only while that
-        pays, so a side whose drafts are mostly rejected leaves the CPU to
-        its peer, and a decode that is mostly injected delay still runs deep."""
+        """Start the next own decode if none is under way and the gates allow it."""
         cfg = self.config
         step = self.next_expected[self.role]
-        queued = len(self.queues[self.role])
-        used = (self.own_accepted[0] / self.own_accepted[1]) ** queued
         if (
             self.decode_due is not None
             or step >= cfg.max_new_tokens
             or (cfg.vanilla and step != len(self.log_entries))
-            or queued >= cfg.queue_capacity
-            or used * (cfg.decode_delay_ms + self.compute_ms) < (1.0 - used) * self.compute_ms
+            or len(self.queues[self.role]) >= cfg.queue_capacity
         ):
             return
         self.decode_due = time.perf_counter() + cfg.decode_delay_ms / 1000.0
@@ -325,8 +312,7 @@ class _NodeEngine:
         computed = time.perf_counter()  # not the message handling since it fell due
         rerank(self.state)
         rec = decode_step(self.state, decode_uniform(cfg.seed, self.state.gen_step))
-        self.compute_ms = (time.perf_counter() - computed) * 1000.0
-        decode_ms = cfg.decode_delay_ms + self.compute_ms
+        decode_ms = cfg.decode_delay_ms + (time.perf_counter() - computed) * 1000.0
         if rec.step != self.next_expected[self.role]:
             raise self._protocol_error(
                 f"own draft step {rec.step} != expected {self.next_expected[self.role]}"

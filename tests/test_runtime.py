@@ -5,7 +5,6 @@ import time
 import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -356,49 +355,6 @@ class TestEventLoop:
         assert engine.profile_rows[-1][1] == pytest.approx(5.0)
         sent = MessageStream(far, vocab_size=256).recv()
         assert isinstance(sent, DraftMsg) and sent.decode_ms == pytest.approx(5.0)
-        engine.inbox.close()
-        engine.stream.close()
-        far.close()
-
-    @pytest.mark.parametrize(
-        "accepted, delay_ms, queued, starts",
-        [
-            ((1, 4), 0.0, 0, True),  # the next step's own draft always starts
-            ((1, 4), 0.0, 1, False),  # 0.25 * 1 < 0.75 * 1
-            ((2, 4), 0.0, 1, True),  # 0.5 * 1 >= 0.5 * 1
-            ((2, 4), 0.0, 2, False),  # 0.25 * 1 < 0.75 * 1
-            ((2, 4), 10.0, 3, True),  # mostly injected delay: 0.125 * 11 >= 0.875 * 1
-            ((2, 4), 10.0, 4, False),  # 0.0625 * 11 < 0.9375 * 1
-            ((4, 4), 0.0, 7, True),  # all accepted: up to queue_capacity (8)
-            ((4, 4), 0.0, 8, False),
-        ],
-    )
-    def test_speculation_depth_priced_by_own_acceptance(self, accepted, delay_ms, queued, starts):
-        # a draft behind `queued` own drafts is used about a**queued of the
-        # time; it starts only while that chance pays for its compute
-        near, far = socket.socketpair()
-        cfg = base_config(decode_delay_ms=delay_ms)
-        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
-        engine.own_accepted = list(accepted)
-        engine.compute_ms = 1.0
-        engine.queues[cfg.role].extend([None] * queued)
-        engine.next_expected[cfg.role] = queued
-        engine._start_decode()
-        assert (engine.decode_due is not None) == starts
-        engine.inbox.close()
-        engine.stream.close()
-        far.close()
-
-    def test_own_acceptance_counted_from_outcomes(self):
-        near, far = socket.socketpair()
-        cfg = base_config(role=Side.CLOUD, static_side=Side.DEVICE)
-        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
-        assert engine.own_accepted == [1, 1]  # a prior of one acceptance
-        engine._apply_outcome(0, 7, accept_l=False, accept_r=False, remote=True)
-        engine._apply_outcome(1, 7, accept_l=False, accept_r=False, remote=True)
-        engine.queues[Side.CLOUD].append(SimpleNamespace(step=2))
-        engine._apply_outcome(2, 7, accept_l=False, accept_r=True, remote=True)
-        assert engine.own_accepted == [2, 4]  # the device's flags do not count
         engine.inbox.close()
         engine.stream.close()
         far.close()
