@@ -10,13 +10,15 @@ no hidden state, so rolling back is just truncating the context.
 
 Either way a conditional's support is the document's distinct tokens, so a
 mixture of k documents has at most k * chunk_size ids whatever the
-vocabulary size, and the decoder works on those ids alone.
+vocabulary size, and the decoder works on those ids alone.  Those ids, and
+where each document's row sits among them, depend only on the retrieved
+documents, so a state lays them out once when it starts.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .common import Side
 from .dists import LogDist, Vocab, inverse_cdf_sample, logsumexp
-from .retrieval import Document, relevance_score
+from .retrieval import Document, overlap_score
 from .rng import derive_seed
 
 
@@ -53,7 +55,10 @@ class DecoderState:
     """Owned by exactly one decoding task; mutated in place.
 
     context holds prompt + generated-so-far; scores carry the current
-    relevance estimate per retrieved document.
+    relevance estimate per retrieved document.  mixture_ids is the union of
+    the documents' distinct ids, ascending, and mixture_cols the flat
+    position of each document's conditional in a (len(docs), len(mixture_ids))
+    table, row after row; both follow from docs alone.
     """
 
     vocab: Vocab
@@ -65,6 +70,18 @@ class DecoderState:
     max_context: int
     chunk_size: int
     side: Side = Side.DEVICE
+    mixture_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    mixture_cols: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ids = np.array(sorted(set().union(*(doc.tokens for doc in self.docs))), dtype=np.int64)
+        cols = np.concatenate(
+            [r * ids.size + ids.searchsorted(doc.distinct_ids) for r, doc in enumerate(self.docs)]
+        )
+        ids.setflags(write=False)
+        cols.setflags(write=False)
+        self.mixture_ids = ids
+        self.mixture_cols = cols
 
     @classmethod
     def start(
@@ -112,26 +129,18 @@ class DecoderState:
 def _conditional(doc: Document, prev: int) -> tuple[np.ndarray, np.ndarray]:
     """Sparse p(next | doc, previous token): (ascending ids, log-probs).
 
-    Cached: pure function; the arrays are read-only because every caller
-    shares them.
+    The ids are the document's distinct_ids.  Cached: pure function; the
+    arrays are read-only because every caller shares them.
     """
-    support = tuple(sorted(set(doc.tokens)))
-    counts = {t: 0 for t in support}
-    row_total = 0
-    for a, b in zip(doc.tokens, doc.tokens[1:]):
-        if a == prev:
-            counts[b] += 1
-            row_total += 1
-    if row_total > 0:
-        weights = np.array([counts[t] + 1.0 for t in support])
+    row = doc.successor_counts.get(prev)
+    if row is not None:
+        weights = row + 1.0
     else:
         rng = np.random.default_rng(derive_seed(doc.id, "fallback", prev))
-        weights = rng.exponential(size=len(support))
-    ids = np.array(support, dtype=np.int64)
+        weights = rng.exponential(size=doc.distinct_ids.size)
     logp = np.log(weights / weights.sum())
-    ids.setflags(write=False)
     logp.setflags(write=False)
-    return ids, logp
+    return doc.distinct_ids, logp
 
 
 def rerank(state: DecoderState) -> np.ndarray:
@@ -140,9 +149,10 @@ def rerank(state: DecoderState) -> np.ndarray:
     Window length equals the corpus chunk size.  Also refreshes the corrected
     weight implicitly: it is always the log-sum-exp of the current scores.
     """
-    window = state.context[-state.chunk_size :]
+    window = set(state.context[-state.chunk_size :])
     state.scores = np.array(
-        [relevance_score(window, doc) for doc in state.docs], dtype=np.float64
+        [overlap_score(len(window.intersection(doc.tokens))) for doc in state.docs],
+        dtype=np.float64,
     )
     return state.scores
 
@@ -160,16 +170,11 @@ def local_mixture(state: DecoderState) -> LogDist:
     """
     prev = state.context[-1]
     log_w = state.scores - logsumexp(state.scores)
-    rows = [_conditional(doc, prev) for doc in state.docs]
-    row_ids = np.concatenate([r_ids for r_ids, _ in rows])
-    # sort and dedupe by hand: np.unique's first call imports numpy.ma (~12 ms)
-    ids = np.sort(row_ids)
-    ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
-    row_of = np.repeat(np.arange(len(rows)), [r_ids.size for r_ids, _ in rows])
-    table = np.full((len(rows), ids.size), -np.inf)
-    table[row_of, ids.searchsorted(row_ids)] = np.concatenate([r_logp for _, r_logp in rows])
-    mixed = np.asarray(logsumexp(table + log_w[:, None], axis=0))
-    return LogDist.from_support(state.vocab, ids, mixed - logsumexp(mixed))
+    k = len(state.docs)
+    table = np.full(k * state.mixture_ids.size, -np.inf)
+    table[state.mixture_cols] = np.concatenate([_conditional(doc, prev)[1] for doc in state.docs])
+    mixed = logsumexp(table.reshape(k, -1) + log_w[:, None], axis=0)
+    return LogDist.from_support(state.vocab, state.mixture_ids, mixed - logsumexp(mixed))
 
 
 def decode_step(state: DecoderState, rng_draw: float) -> DraftRecord:

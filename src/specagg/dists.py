@@ -39,21 +39,27 @@ class Vocab:
 
 
 def logsumexp(logs: np.ndarray, axis: int | None = None) -> np.ndarray | float:
-    """Stable log(sum(exp(logs))); handles -inf entries and all--inf input."""
-    keep = axis is not None
-    m = np.max(logs, axis=axis, keepdims=keep)
+    """Stable log(sum(exp(logs))) of an ndarray; handles -inf entries.
+
+    Where the maximum is not finite it is the result: -inf for all -inf
+    input, +inf or NaN when an entry is.
+    """
+    if axis is None:
+        m = logs.max()
+        if not math.isfinite(m):
+            return float(m)
+        return float(m + np.log(np.exp(logs - m).sum()))
+    m = logs.max(axis=axis, keepdims=True)
     finite = np.isfinite(m)
     if finite.all():
         # the common case: a finite maximum, so no guard is needed
-        out = m + np.log(np.sum(np.exp(logs - m), axis=axis, keepdims=keep))
+        out = m + np.log(np.exp(logs - m).sum(axis=axis, keepdims=True))
     else:
         m_safe = np.where(finite, m, 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = m_safe + np.log(np.sum(np.exp(logs - m_safe), axis=axis, keepdims=keep))
+            out = m_safe + np.log(np.exp(logs - m_safe).sum(axis=axis, keepdims=True))
         out = np.where(finite, out, m)
-    if axis is None:
-        return float(out)
-    return np.squeeze(out, axis=axis)
+    return out.squeeze(axis=axis)
 
 
 class LogDist:
@@ -223,7 +229,8 @@ class CompressedDist:
     """Sparse top-p form of a LogDist: (token id, f16 probability) pairs.
 
     Token ids are strictly increasing, values positive, and the total kept
-    mass is at most 1 + 2^-9 (f16 rounding slack).
+    mass is at most 1 + 2^-9 (f16 rounding slack).  That total is summed in
+    float64, where any sum of f16 values below 2 is exact.
     """
 
     vocab_size: int
@@ -249,13 +256,13 @@ class CompressedDist:
             raise ValueError("token_ids and values must be 1-d and congruent")
         if ids.size == 0:
             raise ValueError("empty compressed distribution")
-        if (np.diff(ids.astype(np.int64)) <= 0).any():
+        if (ids[1:] <= ids[:-1]).any():
             raise ValueError("token ids must be strictly increasing")
         if ids[-1] >= self.vocab_size:
             raise ValueError("token id outside vocabulary")
         if (vals <= 0).any():
             raise ValueError("values must be positive")
-        if float(vals.astype(np.float64).sum()) > COMPRESSED_SUM_BOUND:
+        if float(vals.sum(dtype=np.float64)) > COMPRESSED_SUM_BOUND:
             raise ValueError("kept mass exceeds 1 + 2^-9")
         ids.setflags(write=False)
         vals.setflags(write=False)
@@ -282,25 +289,25 @@ def topp_encode(
     if not 0.0 < p_threshold <= 1.0:
         raise ValueError(f"p_threshold must be in (0, 1], got {p_threshold}")
     probs = p.support_probs()
-    nonzero = np.flatnonzero(probs > 0.0)
+    nonzero = (probs > 0.0).nonzero()[0]
     if nonzero.size == 0:
         raise ValueError("empty distribution")
     if p_threshold >= 1.0:
         keep = nonzero
     else:
         # stable argsort keeps ascending-id order among equal probabilities
-        order = np.argsort(-probs, kind="stable")
-        cum = np.cumsum(probs[order])
-        cut = int(np.searchsorted(cum, p_threshold - 1e-12, side="left")) + 1
+        order = (-probs).argsort(kind="stable")
+        cum = probs[order].cumsum()
+        cut = int(cum.searchsorted(p_threshold - 1e-12, side="left")) + 1
         keep = order[:cut]
         keep = keep[probs[keep] > 0.0]
     if force_token is not None:
-        pos = int(np.searchsorted(p.token_ids, force_token))
+        pos = int(p.token_ids.searchsorted(force_token))
         if pos == p.token_ids.size or p.token_ids[pos] != force_token or probs[pos] <= 0.0:
             raise ValueError(f"cannot force zero-probability token {force_token}")
-        if pos not in keep:
+        if not (keep == pos).any():
             keep = np.append(keep, pos)
-    keep = np.sort(keep)
+    keep.sort()
     return CompressedDist(
         vocab_size=p.vocab.size,
         token_ids=p.token_ids[keep].astype(np.uint32),
@@ -326,11 +333,11 @@ def inverse_cdf_sample(probs: np.ndarray, u: float) -> int:
     One uniform draw reproduces the pick bit-exactly anywhere; probs need not
     be normalized (u scales with the total mass).
     """
-    cdf = np.cumsum(probs)
+    cdf = probs.cumsum()
     total = cdf[-1]
     if total <= 0.0:
         raise ValueError("cannot sample from zero-mass vector")
-    idx = int(np.searchsorted(cdf, u * total, side="right"))
+    idx = int(cdf.searchsorted(u * total, side="right"))
     if idx >= probs.size:
         idx = int(np.flatnonzero(probs > 0)[-1])
     return idx

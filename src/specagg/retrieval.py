@@ -9,6 +9,7 @@ complementary halves of the same ranked list to model split corpora.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,8 @@ NO_OVERLAP_SCORE = -20.0
 
 @dataclass(frozen=True)
 class Document:
+    """A token-id sequence with its bigram successor index, built on first use."""
+
     id: int
     tokens: tuple[int, ...]
 
@@ -32,6 +35,28 @@ class Document:
             raise ValueError(f"document {self.id} is empty")
         if any(t < 0 for t in self.tokens):
             raise ValueError(f"document {self.id} has negative token ids")
+
+    @functools.cached_property
+    def distinct_ids(self) -> np.ndarray:
+        """The document's distinct token ids, ascending; read-only."""
+        ids = np.array(sorted(set(self.tokens)), dtype=np.int64)
+        ids.setflags(write=False)
+        return ids
+
+    @functools.cached_property
+    def successor_counts(self) -> dict[int, np.ndarray]:
+        """Per token with a successor, its successor counts over distinct_ids.
+
+        A token that only ends the document has no row.  Rows are read-only.
+        """
+        column = {t: i for i, t in enumerate(self.distinct_ids.tolist())}
+        rows: dict[int, list[int]] = {}
+        for a, b in zip(self.tokens, self.tokens[1:]):
+            rows.setdefault(a, [0] * len(column))[column[b]] += 1
+        out = {a: np.array(counts, dtype=np.int64) for a, counts in rows.items()}
+        for row in out.values():
+            row.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -61,7 +86,11 @@ class Half(enum.Enum):
 
 def relevance_score(window: Sequence[int], doc: Document) -> float:
     """log(1 + distinct shared token ids), floored when disjoint."""
-    overlap = len(set(window) & set(doc.tokens))
+    return overlap_score(len(set(window).intersection(doc.tokens)))
+
+
+def overlap_score(overlap: int) -> float:
+    """The relevance of `overlap` distinct shared token ids."""
     if overlap == 0:
         return NO_OVERLAP_SCORE
     return math.log1p(overlap)

@@ -303,10 +303,11 @@ class _NodeEngine:
             return
         self.decode_due = time.perf_counter() + cfg.decode_delay_ms / 1000.0
 
-    def _finish_decode(self) -> None:
-        """Draft, queue and send the own decode under way once it is due."""
+    def _finish_decode(self) -> bool:
+        """Draft, queue and send the own decode under way once it is due;
+        True if it drafted."""
         if self.decode_due is None or time.perf_counter() < self.decode_due:
-            return
+            return False
         self.decode_due = None
         cfg = self.config
         computed = time.perf_counter()  # not the message handling since it fell due
@@ -325,6 +326,7 @@ class _NodeEngine:
         self.stream.send(
             DraftMsg(step=rec.step, token=rec.token, h=rec.h, decode_ms=decode_ms, dist=compressed)
         )
+        return True
 
     def _record_profile(self, step: int, decode_ms: float) -> None:
         t_abs = self.config.prompt_len_abs(step)
@@ -481,15 +483,16 @@ class _NodeEngine:
         )
 
     def _loop_until(self, done, label: str) -> None:
-        """Until done(): aggregate, finish a due own decode, aggregate, start
-        the next, then wait for a message and handle every message already
-        due, unless done() holds first (the peer's Bye may follow the last
-        outcome).  Aggregating first spares a decode an own rejection voids."""
+        """Until done(): aggregate, finish a due own decode, aggregate if it
+        drafted, start the next, then wait for a message and handle every
+        message already due, unless done() holds first (the peer's Bye may
+        follow the last outcome).  Aggregating first spares a decode an own
+        rejection voids."""
         deadline = time.perf_counter() + PEER_TIMEOUT_S
         while True:
             self._aggregate_ready()
-            self._finish_decode()
-            self._aggregate_ready()
+            if self._finish_decode():
+                self._aggregate_ready()
             self._start_decode()
             if done():
                 return

@@ -18,7 +18,8 @@ END_TO_END = [
 ]
 
 
-def row(side, seed, tokens_per_s, itl_p50_ms, workload="lan-v256", correct=True, trace=0):
+def row(side, seed, tokens_per_s, itl_p50_ms, workload="lan-v256", correct=True, trace=0,
+        steal=0.0):
     return {
         "side": side,
         "workload": workload,
@@ -27,7 +28,7 @@ def row(side, seed, tokens_per_s, itl_p50_ms, workload="lan-v256", correct=True,
         "correct": correct,
         "attempted": 4,
         "failed": 0 if correct else 1,
-        "provenance": f'# provenance {{"seed": {seed}}}',
+        "provenance": f'# provenance {{"seed": {seed}, "steal_share": {steal}}}',
         "phases": [],
         "metrics": {"tokens_per_s": tokens_per_s, "itl_p50_ms": itl_p50_ms},
     }
@@ -120,3 +121,16 @@ def test_summarize_rows_pairs_by_seed_and_drops_failed_pairs():
 
     traced = bench_pairs.summarize_traced(rows[-1:] + [dict(rows[-1], side="parent")])
     assert set(traced["lan-v256 seed=1"]) == {"parent", "change"}
+
+
+def test_summarize_rows_reports_steal_share_per_pair_for_both_sides():
+    rows = [
+        row("parent", 1, 100.0, 1.0, steal=0.002), row("change", 1, 150.0, 1.2, steal=0.03),
+        row("change", 2, 160.0, 1.1, steal=0.0), row("parent", 2, 110.0, 1.0, steal=0.125),
+        row("parent", 3, 120.0, 1.0, steal=0.5),  # no change run: not a pair
+    ]
+    failed = {"side": "change", "workload": "lan-v256", "seed": 4, "trace": 0, "correct": False}
+    rows += [row("parent", 4, 130.0, 1.0, steal=0.01), failed]  # no provenance line
+    out = bench_pairs.summarize_rows(rows, END_TO_END)["lan-v256"]
+    assert out["seeds"] == [1, 2, 4]
+    assert out["steal_share"] == [[0.002, 0.03], [0.125, 0.0], [0.01, None]]

@@ -18,7 +18,7 @@ from specagg.decoder import (
 )
 from specagg.dists import Vocab, interpolate_target, logsumexp
 from specagg.retrieval import Document, Half, NO_OVERLAP_SCORE, random_corpus, retrieve
-from specagg.rng import decode_uniform
+from specagg.rng import decode_uniform, derive_seed
 
 
 def doc_conditional(doc, prev, vocab):
@@ -27,6 +27,21 @@ def doc_conditional(doc, prev, vocab):
     out = np.full(vocab.size, -np.inf)
     out[ids] = logp
     return out
+
+
+def rescan_conditional(doc, prev):
+    """Reference: p(next | doc, prev) by rescanning the document."""
+    support = sorted(set(doc.tokens))
+    counts = dict.fromkeys(support, 0)
+    successors = [b for a, b in zip(doc.tokens, doc.tokens[1:]) if a == prev]
+    for b in successors:
+        counts[b] += 1
+    if successors:
+        weights = np.array([counts[t] + 1.0 for t in support])
+    else:
+        rng = np.random.default_rng(derive_seed(doc.id, "fallback", prev))
+        weights = rng.exponential(size=len(support))
+    return np.array(support, dtype=np.int64), np.log(weights / weights.sum())
 
 
 def one_token_doc(did, token, length=4):
@@ -64,6 +79,53 @@ class TestConditional:
         a = doc_conditional(d, 6, Vocab(8))
         b = doc_conditional(d, 7, Vocab(8))
         assert not np.array_equal(a, b)
+
+
+    def test_equals_rescan_reference(self):
+        # every row kind: bigram rows, the last token's empty row, and a prev
+        # absent from the document all fall back or count as a rescan would
+        rng = np.random.default_rng(11)
+        for did in range(40):
+            tokens = tuple(int(t) for t in rng.integers(0, 24, size=int(rng.integers(1, 20))))
+            doc = Document(id=did, tokens=tokens)
+            for prev in range(26):
+                ids, logp = _conditional(doc, prev)
+                ref_ids, ref_logp = rescan_conditional(doc, prev)
+                assert np.array_equal(ids, ref_ids)
+                assert np.array_equal(logp, ref_logp)
+                assert not ids.flags.writeable and not logp.flags.writeable
+
+
+class TestMixtureLayout:
+    def test_layout_equals_per_call_union(self):
+        # the union of the conditionals' supports and each row's columns,
+        # computed from one call's rows, are what the state laid out at start
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            sizes = rng.integers(1, 12, size=rng.integers(1, 7))
+            docs = [
+                Document(id=did, tokens=tuple(rng.integers(0, 40, size=n).tolist()))
+                for did, n in enumerate(sizes)
+            ]
+            state = make_state([(d, 0.0) for d in docs], prompt=[0], vocab=40)
+            for prev in (0, int(rng.integers(0, 40))):
+                rows = [_conditional(d, prev) for d in docs]
+                row_ids = np.concatenate([ids for ids, _ in rows])
+                union = np.array(sorted(set(row_ids.tolist())), dtype=np.int64)
+                row_of = np.repeat(np.arange(len(rows)), [ids.size for ids, _ in rows])
+                table = np.full((len(rows), union.size), -np.inf)
+                table[row_of, union.searchsorted(row_ids)] = np.concatenate([lp for _, lp in rows])
+                assert np.array_equal(state.mixture_ids, union)
+                cols = row_of * union.size + union.searchsorted(row_ids)
+                assert np.array_equal(state.mixture_cols, cols)
+                flat = np.full(len(rows) * union.size, -np.inf)
+                flat[state.mixture_cols] = np.concatenate([lp for _, lp in rows])
+                assert np.array_equal(flat.reshape(table.shape), table)
+
+    def test_layout_is_read_only(self):
+        state = make_state([(Document(id=0, tokens=(1, 2, 1)), 0.0)], prompt=[1])
+        assert not state.mixture_ids.flags.writeable
+        assert not state.mixture_cols.flags.writeable
 
 
 class TestRerank:

@@ -53,6 +53,30 @@ class TestLogDist:
             d.logp[0] = 0.0
 
 
+class TestLogsumexp:
+    def test_matches_direct_sum(self):
+        logs = np.log(np.array([0.1, 0.2, 0.3]))
+        assert logsumexp(logs) == pytest.approx(math.log(0.6))
+        assert isinstance(logsumexp(logs), float)
+
+    def test_all_neg_inf_is_neg_inf(self):
+        assert logsumexp(np.full(3, -np.inf)) == -math.inf
+
+    def test_pos_inf_entry_is_pos_inf(self):
+        assert logsumexp(np.array([0.0, np.inf, -np.inf])) == math.inf
+
+    def test_nan_entry_is_nan(self):
+        assert math.isnan(logsumexp(np.array([0.0, np.nan, 1.0])))
+
+    def test_axis_zero_with_all_neg_inf_column(self):
+        table = np.array([[0.0, -np.inf, np.log(0.25)], [0.0, -np.inf, -np.inf]])
+        out = logsumexp(table, axis=0)
+        assert out.shape == (3,)
+        assert out[0] == pytest.approx(math.log(2.0))
+        assert out[1] == -math.inf
+        assert out[2] == pytest.approx(math.log(0.25))
+
+
 class TestEtaWeights:
     def test_symmetric_weights(self):
         le_l, le_r = eta_log_weights(0.0, 0.0)

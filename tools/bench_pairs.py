@@ -13,16 +13,18 @@ workloads back to back.  Each run appends one JSON row to `--rows`, so an
 interrupted recording keeps what it measured.
 
 `summarize` turns the untraced rows into the schema of the committed
-BENCH_*.json files: per workload and end-to-end metric, the parent's and the
-change's median and quartiles, the [parent, change] pairs in seed order,
-`change_won_pairs` (pairs where the change is strictly better in the
-metric's direction) and the relative change of the median.  It adds the
-per-pair change/parent ratio: its median, quartiles and a bootstrap 95%
-interval of the median.  Traced rows go under `traced` as they were
-measured.  `--meta` supplies the hand-written fields (`parent`, `change`,
-`what`, `claim`, `tier1`, ...); `--claim WORKLOAD:METRIC` checks a claimed
-gain: the change wins at least nine pairs in ten and its median beats the
-parent's by more than the parent's interquartile range.
+BENCH_*.json files.  Per workload it gives the host's `steal_share` during
+each run as [parent, change] pairs in seed order (read from the provenance
+line), and per end-to-end metric the parent's and the change's median and
+quartiles, the [parent, change] pairs in seed order, `change_won_pairs`
+(pairs where the change is strictly better in the metric's direction) and
+the relative change of the median.  It adds the per-pair change/parent
+ratio: its median, quartiles and a bootstrap 95% interval of the median.
+Traced rows go under `traced` as they were measured.  `--meta` supplies
+the hand-written fields (`parent`, `change`, `what`, `claim`, `tier1`, ...);
+`--claim WORKLOAD:METRIC` checks a claimed gain: the change wins at least
+nine pairs in ten and its median beats the parent's by more than the
+parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -161,6 +163,8 @@ def summarize_rows(rows: list[dict], end_to_end: list[dict]) -> dict:
         entry = {
             "seeds": seeds,
             "pairs": len(seeds),
+            "steal_share": [[provenance(r[side]).get("steal_share") for side in SIDES]
+                            for r in runs],
             "attempted": {side: sum(r[side].get("attempted", 0) for r in runs) for side in SIDES},
             "failed": {side: sum(r[side].get("failed", 0) for r in runs) for side in SIDES},
             "correct": len(ok) == len(seeds),
@@ -185,10 +189,16 @@ def summarize_traced(rows: list[dict]) -> dict:
     return traced
 
 
+def provenance(row: dict) -> dict:
+    """The JSON of a row's '# provenance' line; empty for a failed run."""
+    line = row.get("provenance")
+    return json.loads(line[len("# provenance "):]) if line else {}
+
+
 def machine(rows: list[dict]) -> dict:
     for r in rows:
-        if r.get("provenance"):
-            prov = json.loads(r["provenance"][len("# provenance "):])
+        prov = provenance(r)
+        if prov:
             return {"cores": prov["cores"], "python": prov["python"], "numpy": prov["numpy"]}
     return {}
 
