@@ -18,7 +18,6 @@ from .retrieval import load_corpus, load_token_lines
 from .runtime import METRICS_CSV_HEADER, NodeConfig, run_node
 from .scheduler import CostVector
 from .simulator import AcceptanceTrace, NetModel, simulate
-from .transport import Codec
 
 log = logging.getLogger("specagg")
 
@@ -67,7 +66,6 @@ def _node_config(args: argparse.Namespace) -> NodeConfig:
         static_side=static,
         decode_delay_ms=args.decode_delay_ms,
         link_delay_ms=args.link_delay_ms,
-        codec=Codec.BLOCK if args.codec == "block" else Codec.NONE,
         listen=args.listen,
         peer=args.connect,
     )
@@ -186,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument("--static-side", choices=("device", "cloud", "auto"), default="auto")
     node.add_argument("--decode-delay-ms", type=float, default=0.0)
     node.add_argument("--link-delay-ms", type=float, default=0.0)
-    node.add_argument("--codec", choices=("none", "block"), default="none")
     node.add_argument("--csv", help="metrics CSV path")
     node.add_argument("--target-log", help="emitted-token log path")
     node.add_argument("--profile-csv", help="profiler snapshot CSV path")

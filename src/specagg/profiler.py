@@ -110,13 +110,13 @@ def measure_decode_curve(
     return [(t, total / repeats) for t, total in sorted(totals.items())]
 
 
-PROFILE_CSV_HEADER = ("t", "c_dec_obs", "c_dec_pred", "rtt_obs", "bw_obs")
+PROFILE_CSV_HEADER = ("t", "c_dec_obs", "c_dec_pred", "rtt_obs")
 
 
 def write_profile_csv(
-    path: str | Path, rows: Iterable[tuple[float, float, float, float, float]]
+    path: str | Path, rows: Iterable[tuple[float, float, float, float]]
 ) -> None:
-    """Snapshot rows of (t, c_dec_obs, c_dec_pred, rtt_obs, bw_obs)."""
+    """Snapshot rows of (t, c_dec_obs, c_dec_pred, rtt_obs)."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(PROFILE_CSV_HEADER)

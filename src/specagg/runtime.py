@@ -6,8 +6,9 @@ only on (corpus, prompt, seed, vocab, k, top-p), never on timing, queue
 depth, or which node aggregates.  Three mechanisms carry that:
 
   * all sampling draws are step-indexed from the shared seed (rng module);
-  * both sides aggregate over the wire-canonical form of every distribution,
-    their own included, so local full-precision copies never leak in;
+  * both sides aggregate over the wire-canonical form of every distribution:
+    a node queues its own draft from the DraftMsg it sends, through the same
+    `_queue_draft` as the peer's, so local full-precision copies never leak in;
   * stale speculative drafts of the peer are fenced off: the aggregator's
     mirror of the remote side by a rollback-ack barrier, and the
     non-aggregator's mirror by the FIFO ordering of drafts behind the outcome
@@ -57,7 +58,6 @@ from .rng import aggregation_draws, decode_uniform
 from .scheduler import AggregatorPolicy
 from .transport import (
     Bye,
-    Codec,
     DelayedInbox,
     DraftMsg,
     Hello,
@@ -71,8 +71,8 @@ from .transport import (
 
 METRICS_CSV_HEADER = ("step", "token", "accept_l", "accept_r", "latency_ms")
 PEER_TIMEOUT_S = 120.0  # bound on the handshake, on generation and on the peer's shutdown
-# The aggregator samples the link (an echo probe and a bandwidth reading) on
-# every this-many-th outcome, step 0 included; the estimates move slowly.
+# The aggregator sends an echo probe on every this-many-th outcome, step 0
+# included; the RTT estimate moves slowly.
 LINK_SAMPLE_EVERY = 16
 
 
@@ -107,7 +107,6 @@ class NodeConfig:
     static_side: Side | None = None  # None = adaptive scheduling
     decode_delay_ms: float = 0.0
     link_delay_ms: float = 0.0
-    codec: Codec = Codec.NONE
     listen: tuple[str, int] | None = None
     peer: tuple[str, int] | None = None
 
@@ -149,16 +148,16 @@ class NodeResult:
     target_log: list[TargetEntry]
     ttft_ms: float
     switches: int
-    profile_rows: list[tuple[float, float, float, float, float]] = field(default_factory=list)
+    profile_rows: list[tuple[float, float, float, float]] = field(default_factory=list)
 
     @property
     def tokens(self) -> list[int]:
         return [e.token for e in self.target_log]
 
     def mean_latency_ms(self) -> float:
-        if not self.target_log:
-            return 0.0
-        return sum(e.latency_ms for e in self.target_log) / len(self.target_log)
+        """Mean inter-token latency; the first token's time is the TTFT."""
+        gaps = [e.latency_ms for e in self.target_log[1:]]
+        return sum(gaps) / len(gaps) if gaps else 0.0
 
 
 def build_decoder(config: NodeConfig, side: Side | None = None) -> DecoderState:
@@ -178,10 +177,22 @@ def build_decoder(config: NodeConfig, side: Side | None = None) -> DecoderState:
     )
 
 
-def _canonical_record(rec: DraftRecord, top_p: float, decode_ms: float):
-    compressed = topp_encode(rec.dist, top_p, force_token=rec.token)
-    canonical = replace(rec, dist=topp_decode(compressed), decode_ms=decode_ms)
-    return canonical, compressed
+def _draft_msg(rec: DraftRecord, top_p: float, decode_ms: float) -> DraftMsg:
+    """The wire form of a draft: top-p sparsified, the drafted token kept."""
+    dist = topp_encode(rec.dist, top_p, force_token=rec.token)
+    return DraftMsg(step=rec.step, token=rec.token, h=rec.h, decode_ms=decode_ms, dist=dist)
+
+
+def _draft_record(side: Side, msg: DraftMsg) -> DraftRecord:
+    """What both nodes aggregate over: a draft as its wire message carries it."""
+    return DraftRecord(
+        side=side,
+        step=msg.step,
+        token=msg.token,
+        dist=topp_decode(msg.dist),
+        h=msg.h,
+        decode_ms=msg.decode_ms,
+    )
 
 
 class _NodeEngine:
@@ -216,15 +227,13 @@ class _NodeEngine:
         self.policy = AggregatorPolicy()
         self.profiler = SideProfiler()
         self.rtt_ema: float | None = None
-        self.bw_obs: float = 0.0
-        self._bw_mark: tuple[float, int] | None = None
         self._probe_seq = 0
         self._handshake_probe: int | None = None  # seq of the echo sent with Hello
         self._rtt_blend = False  # False until a reply after the handshake's
         self._last_outcome_at: float | None = None
         self.ttft_ms: float = 0.0
         self._started_at = 0.0
-        self.profile_rows: list[tuple[float, float, float, float, float]] = []
+        self.profile_rows: list[tuple[float, float, float, float]] = []
 
     # ---------------------------------------------------------------- utils
 
@@ -244,15 +253,9 @@ class _NodeEngine:
 
     # ------------------------------------------------------------- outcomes
 
-    def _apply_outcome(
-        self,
-        step: int,
-        target: int,
-        accept_l: bool,
-        accept_r: bool,
-        remote: bool,
-    ) -> None:
+    def _apply_outcome(self, step: int, target: int, accept_l: bool, accept_r: bool) -> None:
         """Log append, policy update, queue maintenance and rollback."""
+        remote = self.current_agg is not self.role  # the peer aggregated this step
         if step != len(self.log_entries):
             raise self._protocol_error(f"outcome for step {step}, expected {len(self.log_entries)}")
         now = time.perf_counter()
@@ -314,37 +317,39 @@ class _NodeEngine:
         rerank(self.state)
         rec = decode_step(self.state, decode_uniform(cfg.seed, self.state.gen_step))
         decode_ms = cfg.decode_delay_ms + (time.perf_counter() - computed) * 1000.0
-        if rec.step != self.next_expected[self.role]:
-            raise self._protocol_error(
-                f"own draft step {rec.step} != expected {self.next_expected[self.role]}"
-            )
-        canonical, compressed = _canonical_record(rec, cfg.top_p, decode_ms)
-        self.queues[self.role].append(canonical)
-        self.next_expected[self.role] = rec.step + 1
-        self.profiler.observe_decode(self.role, cfg.prompt_len_abs(rec.step), decode_ms)
+        msg = _draft_msg(rec, cfg.top_p, decode_ms)
+        self._queue_draft(self.role, msg)
         self._record_profile(rec.step, decode_ms)
-        self.stream.send(
-            DraftMsg(step=rec.step, token=rec.token, h=rec.h, decode_ms=decode_ms, dist=compressed)
-        )
+        self.stream.send(msg)
         return True
+
+    def _queue_draft(self, side: Side, msg: DraftMsg) -> None:
+        """Queue a draft, own or the peer's, from its wire message."""
+        if msg.step != self.next_expected[side]:
+            raise self._protocol_error(
+                f"{side} draft step {msg.step} != expected {self.next_expected[side]}"
+            )
+        self.queues[side].append(_draft_record(side, msg))
+        self.next_expected[side] = msg.step + 1
+        self.profiler.observe_decode(side, self.config.prompt_len_abs(msg.step), msg.decode_ms)
 
     def _record_profile(self, step: int, decode_ms: float) -> None:
         t_abs = self.config.prompt_len_abs(step)
         pred = self.profiler.decode_estimate(self.role, t_abs, default=decode_ms)
-        self.profile_rows.append(
-            (t_abs, decode_ms, pred, self.rtt_ema or 0.0, self.bw_obs)
-        )
+        self.profile_rows.append((t_abs, decode_ms, pred, self.rtt_ema or 0.0))
 
     # ------------------------------------------------------------- messages
 
     def _handle(self, msg) -> None:
         peer = self.role.other
         if isinstance(msg, DraftMsg):
-            self._on_draft(peer, msg)
+            # until the peer acks its rollback, its drafts are stale speculation
+            if self.awaiting_ack[peer] is None:
+                self._queue_draft(peer, msg)
         elif isinstance(msg, TargetMsg):
             if self.current_agg is self.role:
                 raise self._protocol_error("received outcome while aggregating")
-            self._apply_outcome(msg.step, msg.target, msg.accept_l, msg.accept_r, remote=True)
+            self._apply_outcome(msg.step, msg.target, msg.accept_l, msg.accept_r)
             self._switch(msg.switch_to)
         elif isinstance(msg, ProbeMsg):
             self._on_probe(peer, msg)
@@ -352,25 +357,6 @@ class _NodeEngine:
             self.peer_hello = True
         else:
             raise self._protocol_error("peer said bye before the log was final")
-
-    def _on_draft(self, peer: Side, msg: DraftMsg) -> None:
-        if self.awaiting_ack[peer] is not None:
-            return  # stale speculative draft from before the peer rolled back
-        if msg.step != self.next_expected[peer]:
-            raise self._protocol_error(
-                f"peer draft step {msg.step} != expected {self.next_expected[peer]}"
-            )
-        rec = DraftRecord(
-            side=peer,
-            step=msg.step,
-            token=msg.token,
-            dist=topp_decode(msg.dist),
-            h=msg.h,
-            decode_ms=msg.decode_ms,
-        )
-        self.queues[peer].append(rec)
-        self.next_expected[peer] = msg.step + 1
-        self.profiler.observe_decode(peer, self.config.prompt_len_abs(msg.step), msg.decode_ms)
 
     def _on_probe(self, peer: Side, msg: ProbeMsg) -> None:
         if msg.kind is ProbeKind.ECHO_REQUEST:
@@ -406,9 +392,7 @@ class _NodeEngine:
             draft_dev = self.queues[Side.DEVICE][0]
             draft_cloud = self.queues[Side.CLOUD][0]
             outcome = aggregate(draft_dev, draft_cloud, aggregation_draws(cfg.seed, step))
-            self._apply_outcome(
-                step, outcome.target, outcome.accept_l, outcome.accept_r, remote=False
-            )
+            self._apply_outcome(step, outcome.target, outcome.accept_l, outcome.accept_r)
             switch_to = self._schedule(step)
             self._switch(switch_to)
             self.stream.send(
@@ -422,7 +406,6 @@ class _NodeEngine:
             )
             if step % LINK_SAMPLE_EVERY == 0:
                 self._send_echo()
-                self._update_bandwidth()
 
     def _schedule(self, step: int) -> Side | None:
         """Pick the aggregation side for step+1; None means stay put."""
@@ -443,15 +426,6 @@ class _NodeEngine:
             ProbeMsg(ProbeKind.ECHO_REQUEST, seq=self._probe_seq, t_send=time.perf_counter())
         )
         return self._probe_seq
-
-    def _update_bandwidth(self) -> None:
-        now = time.perf_counter()
-        moved = self.stream.bytes_sent + self.stream.bytes_received
-        if self._bw_mark is not None:
-            dt_ms = (now - self._bw_mark[0]) * 1000.0
-            if dt_ms > 0:
-                self.bw_obs = (moved - self._bw_mark[1]) / dt_ms
-        self._bw_mark = (now, moved)
 
     # ------------------------------------------------------------------ run
 
@@ -518,9 +492,9 @@ def run_node(config: NodeConfig) -> NodeResult:
     config.validate()
     state = build_decoder(config)
     if config.listen is not None:
-        stream, _ = listen_once(*config.listen, codec=config.codec, vocab_size=config.vocab_size)
+        stream, _ = listen_once(*config.listen, vocab_size=config.vocab_size)
     elif config.peer is not None:
-        stream = connect(*config.peer, codec=config.codec, vocab_size=config.vocab_size)
+        stream = connect(*config.peer, vocab_size=config.vocab_size)
     else:
         raise ValueError("config needs either listen or peer")
     engine = _NodeEngine(config, state, stream)
@@ -593,8 +567,7 @@ def sequential_reference(config: NodeConfig) -> list[TargetEntry]:
         for side, state in states.items():
             rerank(state)
             rec = decode_step(state, decode_uniform(config.seed, step))
-            canonical, _ = _canonical_record(rec, config.top_p, rec.decode_ms)
-            records[side] = canonical
+            records[side] = _draft_record(side, _draft_msg(rec, config.top_p, rec.decode_ms))
         outcome = aggregate(
             records[Side.DEVICE], records[Side.CLOUD], aggregation_draws(config.seed, step)
         )

@@ -2,17 +2,16 @@
 
 Frame = 6-byte header (type u8, codec u8, body_len u32 LE) + body.  All
 multi-byte integers are little-endian; probabilities travel as IEEE binary16.
-Codec 1 wraps the body in zlib; the header length is always the on-wire
-(compressed) body size, so frames stay self-delimiting either way.
+The codec byte is always 0 (`Codec.NONE`, the body as is); any other value
+is rejected.
 
 A live stream knows the run's vocabulary, so it rejects a header that
 announces a body larger than the biggest legal frame (a draft keeping every
-token) before reading it, and stops inflating a compressed body at the same
-size.  It also rejects a draft over another vocabulary or one whose token is
-not among its kept ids, so a draft that reaches the aggregator can be looked
-up by binary search.  Socket reads and writes on both roles time out after
-FRAME_TIMEOUT_S, and both roles give up on reaching the peer after
-CONNECT_TIMEOUT_S.
+token) before reading it.  It also rejects a draft over another vocabulary
+or one whose token is not among its kept ids, so a draft that reaches the
+aggregator can be looked up by binary search.  Socket reads and writes on
+both roles time out after FRAME_TIMEOUT_S, and both roles give up on
+reaching the peer after CONNECT_TIMEOUT_S.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import socket
 import struct
 import termios
 import time
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +52,6 @@ class MsgType(enum.IntEnum):
 
 class Codec(enum.IntEnum):
     NONE = 0
-    BLOCK = 1
 
 
 class ProbeKind(enum.IntEnum):
@@ -225,35 +222,15 @@ def max_body_len(vocab_size: int) -> int:
     return _DRAFT_FIXED.size + _DIST_HEAD.size + vocab_size * _PAIR_DTYPE.itemsize
 
 
-def _deflate_bound(n: int) -> int:
-    """Worst-case zlib output for n input bytes (zlib's compressBound)."""
-    return n + (n >> 12) + (n >> 14) + (n >> 25) + 13
-
-
-def _open_body(msg_type: int, codec: int, body: bytes, limit: int | None) -> Message:
-    """Undo the codec, inflating at most `limit` bytes, then decode the body."""
-    if codec == Codec.BLOCK:
-        inflater = zlib.decompressobj()
-        try:
-            body = inflater.decompress(body, 0 if limit is None else limit + 1)
-        except zlib.error as exc:
-            raise FrameLengthError(f"bad compressed body: {exc}") from exc
-        if limit is not None and len(body) > limit:
-            raise FrameLengthError(f"compressed body inflates past {limit} bytes")
-        if not inflater.eof:
-            raise FrameLengthError("bad compressed body: truncated stream")
-    elif codec != Codec.NONE:
+def _open_body(msg_type: int, codec: int, body: bytes) -> Message:
+    if codec != Codec.NONE:
         raise UnknownCodecError(f"unknown codec {codec}")
     return _decode_body(msg_type, body)
 
 
-def encode_frame(msg: Message, codec: Codec = Codec.NONE) -> bytes:
+def encode_frame(msg: Message) -> bytes:
     msg_type, body = _encode_body(msg)
-    if codec == Codec.BLOCK:
-        body = zlib.compress(body)
-    elif codec != Codec.NONE:
-        raise UnknownCodecError(f"unknown codec {codec}")
-    return HEADER.pack(int(msg_type), int(codec), len(body)) + body
+    return HEADER.pack(int(msg_type), Codec.NONE, len(body)) + body
 
 
 def decode_frame(data: bytes) -> tuple[Message, int]:
@@ -264,36 +241,33 @@ def decode_frame(data: bytes) -> tuple[Message, int]:
     end = HEADER.size + body_len
     if len(data) < end:
         raise TruncatedFrameError(f"body needs {body_len} bytes, have {len(data) - HEADER.size}")
-    return _open_body(msg_type, codec, data[HEADER.size : end], None), end
+    return _open_body(msg_type, codec, data[HEADER.size : end]), end
 
 
 class MessageStream:
     """Framed, full-duplex message exchange over a connected socket.
 
-    Not thread-safe: one thread sends and one thread receives.  Byte
-    counters feed the bandwidth estimate.
+    Not thread-safe: one thread sends and one thread receives.
+    `bytes_received` counts every byte read, so `DelayedInbox` can read
+    exactly the frames the socket held when it was found readable.
     """
 
-    def __init__(self, sock: socket.socket, codec: Codec = Codec.NONE, *, vocab_size: int) -> None:
+    def __init__(self, sock: socket.socket, *, vocab_size: int) -> None:
         sock.settimeout(FRAME_TIMEOUT_S)
         self._sock = sock
-        self._codec = codec
         self._vocab_size = vocab_size
         self._max_body = max_body_len(vocab_size)
-        self._max_wire = _deflate_bound(self._max_body)
-        self.bytes_sent = 0
         self.bytes_received = 0
 
     def fileno(self) -> int:
         return self._sock.fileno()
 
     def send(self, msg: Message) -> int:
-        frame = encode_frame(msg, self._codec)
+        frame = encode_frame(msg)
         try:
             self._sock.sendall(frame)
         except OSError as exc:
             raise ConnectionClosedError(f"send failed: {exc}") from exc
-        self.bytes_sent += len(frame)
         return len(frame)
 
     def _recv_exact(self, n: int, *, mid_frame: bool) -> bytes:
@@ -319,11 +293,11 @@ class MessageStream:
     def recv(self) -> Message:
         header = self._recv_exact(HEADER.size, mid_frame=False)
         msg_type, codec, body_len = HEADER.unpack(header)
-        if body_len > self._max_wire:
-            raise FrameLengthError(f"body of {body_len} bytes exceeds the {self._max_wire} limit")
+        if body_len > self._max_body:
+            raise FrameLengthError(f"body of {body_len} bytes exceeds the {self._max_body} limit")
         body = self._recv_exact(body_len, mid_frame=True) if body_len else b""
         self.bytes_received += HEADER.size + body_len
-        msg = _open_body(msg_type, codec, body, self._max_body)
+        msg = _open_body(msg_type, codec, body)
         if isinstance(msg, DraftMsg):
             self._check_draft(msg)
         return msg
@@ -410,9 +384,7 @@ class DelayedInbox:
         self._selector.close()
 
 
-def listen_once(
-    host: str, port: int, codec: Codec = Codec.NONE, *, vocab_size: int
-) -> tuple[MessageStream, int]:
+def listen_once(host: str, port: int, *, vocab_size: int) -> tuple[MessageStream, int]:
     """Accept exactly one peer; returns the stream and the bound port."""
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -425,17 +397,17 @@ def listen_once(
     finally:
         server.close()
     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return MessageStream(conn, codec, vocab_size=vocab_size), bound_port
+    return MessageStream(conn, vocab_size=vocab_size), bound_port
 
 
-def connect(host: str, port: int, codec: Codec = Codec.NONE, *, vocab_size: int) -> MessageStream:
+def connect(host: str, port: int, *, vocab_size: int) -> MessageStream:
     """Connect to a listening peer, retrying briefly while it comes up."""
     deadline = time.perf_counter() + CONNECT_TIMEOUT_S
     while True:
         try:
             sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            return MessageStream(sock, codec, vocab_size=vocab_size)
+            return MessageStream(sock, vocab_size=vocab_size)
         except OSError:
             if time.perf_counter() >= deadline:
                 raise

@@ -3,7 +3,7 @@
 `random_distribution_pair` draws (p_l, p_r, eta_r) triples for the
 aggregation criteria, `strategy_means` replays the strategy-comparison
 traces, and `random_message` draws arbitrary protocol messages for the
-codec fuzz tests.
+frame fuzz tests.
 """
 
 from __future__ import annotations

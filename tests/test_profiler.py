@@ -138,9 +138,9 @@ class TestSideProfiler:
 
 
 def test_profile_csv_round_trip(tmp_path):
-    rows = [(1.0, 2.0, 2.1, 30.0, 1000.0), (2.0, 2.2, 2.15, 31.0, 990.0)]
+    rows = [(1.0, 2.0, 2.1, 30.0), (2.0, 2.2, 2.15, 31.0)]
     path = tmp_path / "profile.csv"
     write_profile_csv(path, rows)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,c_dec_obs,c_dec_pred,rtt_obs,bw_obs"
+    assert lines[0] == "t,c_dec_obs,c_dec_pred,rtt_obs"
     assert len(lines) == 3

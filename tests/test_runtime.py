@@ -11,14 +11,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from specagg.aggregator import aggregate
-from specagg.common import Side
-from specagg.decoder import decode_step, rerank
+from specagg.common import ProtocolError, Side
+from specagg.decoder import decode_step, rerank, rollback
 from specagg.dists import topp_decode, topp_encode
 from specagg.retrieval import random_corpus
 from specagg.rng import aggregation_draws, decode_uniform
 from specagg import runtime
 from specagg.runtime import (
     NodeConfig,
+    NodeResult,
+    TargetEntry,
     _NodeEngine,
     build_decoder,
     free_port,
@@ -28,7 +30,6 @@ from specagg.runtime import (
 )
 from specagg.scheduler import AggregatorPolicy
 from specagg.transport import (
-    Codec,
     DelayedInbox,
     DraftMsg,
     Hello,
@@ -126,12 +127,6 @@ class TestLoopback:
         assert device.target_log == [] and cloud.target_log == []
         assert device.ttft_ms > 0.0
 
-    def test_block_codec_end_to_end(self):
-        cfg = base_config(codec=Codec.BLOCK, max_new_tokens=16)
-        reference = sequential_reference(cfg)
-        device, _ = run_loopback_pair(cfg)
-        assert keys(device.target_log) == keys(reference)
-
     def test_tiny_queue_capacity(self):
         cfg = base_config(queue_capacity=1, max_new_tokens=16)
         reference = sequential_reference(cfg)
@@ -147,6 +142,18 @@ class TestLoopback:
     def test_latencies_nonnegative(self):
         device, _ = run_loopback_pair(base_config(max_new_tokens=16))
         assert all(e.latency_ms >= 0.0 for e in device.target_log)
+
+
+class TestNodeResult:
+    def test_mean_latency_leaves_out_the_first_token(self):
+        # the first entry's latency is a placeholder: TTFT covers that token
+        def result(latencies):
+            log = [TargetEntry(i, 0, True, True, ms) for i, ms in enumerate(latencies)]
+            return NodeResult(role=Side.DEVICE, target_log=log, ttft_ms=9.0, switches=0)
+
+        assert result([0.0, 2.0, 4.0]).mean_latency_ms() == pytest.approx(3.0)
+        assert result([0.0]).mean_latency_ms() == 0.0
+        assert result([]).mean_latency_ms() == 0.0
 
 
 class TestSparsePath:
@@ -304,6 +311,78 @@ class TestEventLoop:
         monkeypatch.setattr(runtime, "aggregate", recording_aggregate)
         engine._loop_until(lambda: len(events) >= 3, "test")
         assert events == ["own-decode 0", "aggregate 0", "own-decode 1"]
+        engine.inbox.close()
+        engine.stream.close()
+        peer.close()
+
+    def test_own_draft_queued_as_the_peer_reads_it(self):
+        # a node queues its own draft from the message it sends, so its
+        # record and the one the peer builds from the frame are the same
+        near, far = socket.socketpair()
+        cfg = base_config(role=Side.DEVICE)
+        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
+        peer_cfg = replace(cfg, role=Side.CLOUD)
+        peer = _NodeEngine(
+            peer_cfg, build_decoder(peer_cfg), MessageStream(far, vocab_size=256)
+        )
+        for _ in range(3):
+            engine._start_decode()
+            assert engine._finish_decode()
+            peer._handle(peer.inbox.recv(timeout=5.0))
+        own, read = engine.queues[Side.DEVICE], peer.queues[Side.DEVICE]
+        assert [r.step for r in own] == [r.step for r in read] == [0, 1, 2]
+        for mine, theirs in zip(own, read):
+            assert (mine.side, mine.token, mine.h) == (theirs.side, theirs.token, theirs.h)
+            assert mine.dist == theirs.dist
+        assert peer.next_expected[Side.DEVICE] == engine.next_expected[Side.DEVICE] == 3
+        for node in (engine, peer):
+            node.inbox.close()
+            node.stream.close()
+
+    def test_rollback_ack_fences_stale_peer_drafts(self):
+        # this node aggregates and rejects the peer's step-s draft: the peer's
+        # drafts that arrive before its ROLLBACK_ACK(s) were drafted past the
+        # rejected token and are dropped, an ack for another step is a
+        # protocol error, and the peer's redraft after the ack is queued
+        cfg = base_config(role=Side.DEVICE, static_side=Side.DEVICE, max_new_tokens=24)
+        reference = sequential_reference(cfg)
+        s = next(e.step for e in reference if not e.accept_r)
+        peer_cfg = replace(cfg, role=Side.CLOUD)
+        peer_state = build_decoder(peer_cfg)
+
+        def peer_draft(step):
+            rerank(peer_state)
+            rec = decode_step(peer_state, decode_uniform(cfg.seed, step))
+            dist = topp_encode(rec.dist, cfg.top_p, force_token=rec.token)
+            return DraftMsg(step=step, token=rec.token, h=rec.h, decode_ms=1.0, dist=dist)
+
+        near, far = socket.socketpair()
+        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
+        peer = MessageStream(far, vocab_size=256)
+        peer.send(Hello())
+        for step in range(s + 1):
+            peer.send(peer_draft(step))
+        engine._loop_until(lambda: len(engine.log_entries) > s, "test")
+        assert keys(engine.log_entries) == keys(reference[: s + 1])
+        assert engine.awaiting_ack[Side.CLOUD] == s
+
+        def deliver(msg):
+            peer.send(msg)
+            engine._handle(engine.inbox.recv(timeout=5.0))
+
+        for step in (s + 1, s + 2):  # speculative drafts past the rejected token
+            deliver(peer_draft(step))
+        assert not engine.queues[Side.CLOUD]
+        assert engine.next_expected[Side.CLOUD] == s + 1
+        with pytest.raises(ProtocolError, match="rollback ack"):
+            deliver(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=s + 1, t_send=0.0))
+        deliver(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=s, t_send=0.0))
+        assert engine.awaiting_ack[Side.CLOUD] is None
+        prefix = cfg.prompt + [e.token for e in reference[:s]]
+        rollback(peer_state, prefix, reference[s].token)
+        deliver(peer_draft(s + 1))
+        assert [r.step for r in engine.queues[Side.CLOUD]] == [s + 1]
+        assert engine.next_expected[Side.CLOUD] == s + 2
         engine.inbox.close()
         engine.stream.close()
         peer.close()

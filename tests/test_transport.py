@@ -1,7 +1,6 @@
 import socket
 import threading
 import time
-import zlib
 
 import numpy as np
 import pytest
@@ -99,20 +98,12 @@ class TestRoundTrips:
             decoded, _ = decode_frame(encode_frame(msg))
             assert decoded == msg
 
-    def test_block_codec_round_trip(self):
-        msg = DraftMsg(step=1, token=3, h=0.0, decode_ms=1.0, dist=two_pair_dist())
-        frame = encode_frame(msg, Codec.BLOCK)
-        assert frame[1] == Codec.BLOCK
-        decoded, _ = decode_frame(frame)
-        assert decoded == msg
-
     def test_random_fuzz(self):
-        for codec in Codec:
-            rng = np.random.default_rng(0)
-            for _ in range(500):
-                msg = random_message(rng)
-                decoded, _ = decode_frame(encode_frame(msg, codec))
-                assert decoded == msg
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            msg = random_message(rng)
+            decoded, _ = decode_frame(encode_frame(msg))
+            assert decoded == msg
 
     def test_stream_self_delimiting(self):
         rng = np.random.default_rng(1)
@@ -142,8 +133,9 @@ class TestErrors:
                 decode_frame(bytes([msg_type, 0, 0, 0, 0, 0]))
 
     def test_unknown_codec(self):
-        with pytest.raises(UnknownCodecError):
-            decode_frame(bytes([5, 7, 0, 0, 0, 0]))
+        for codec in (7, 1):  # 1 was the retired zlib codec
+            with pytest.raises(UnknownCodecError):
+                decode_frame(bytes([5, codec, 0, 0, 0, 0]))
 
     def test_length_mismatch(self):
         good = encode_frame(TargetMsg(step=1, target=2, accept_l=True, accept_r=True))
@@ -405,16 +397,6 @@ class TestFrameBounds:
         client.close()
         server.close()
 
-    def test_inflation_capped(self):
-        client, server = loopback_pair(self.VOCAB)
-        bomb = zlib.compress(bytes(100_000))
-        assert len(bomb) < transport.max_body_len(self.VOCAB)
-        client._sock.sendall(HEADER.pack(MsgType.DRAFT, Codec.BLOCK, len(bomb)) + bomb)
-        with pytest.raises(FrameLengthError, match="inflates"):
-            server.recv()
-        client.close()
-        server.close()
-
     @pytest.mark.parametrize(
         "frame",
         [
@@ -430,11 +412,6 @@ class TestFrameBounds:
             server.recv()
         client.close()
         server.close()
-
-    def test_truncated_compressed_body(self):
-        body = zlib.compress(b"")[:-4]  # adler32 trailer cut off
-        with pytest.raises(FrameLengthError):
-            decode_frame(HEADER.pack(MsgType.HELLO, Codec.BLOCK, len(body)) + body)
 
     def test_same_timeout_on_both_roles(self):
         client, server = loopback_pair(self.VOCAB)
