@@ -1,13 +1,14 @@
 """Golden fixture of the simulator's adaptive strategy: side choice must never drift.
 
 `golden_sim.json` holds `(switches, side_history, total_time.hex())` of
-`simulate(..., "dragon")` for the cases in `CASES`, under the switch-charged
-hand-off rule: after each step `scheduler.choose_side` compares staying with
-handing the role over along with the outcome, priced from that step's
-realized accept flags.  The side history is one letter per step (`d` device,
-`c` cloud) and the total time is compared bit for bit, so any change to the
-rule, the cost arithmetic or its order fails here.  The fixture is data, not
-a snapshot to refresh.
+`simulate` for the cases in `CASES`: mostly `"dragon"`, under the
+switch-charged hand-off rule (after each step `scheduler.choose_side`
+compares staying with handing the role over along with the outcome, priced
+from that step's realized accept flags), plus rows for the `device`, `cloud`
+and `random` strategies and one on a link without jitter.  The side history
+is one letter per step (`d` device, `c` cloud) and the total time is
+compared bit for bit, so any change to the rule, the cost arithmetic or its
+order fails here.  The fixture is data, not a snapshot to refresh.
 
 `PYTHONPATH=src python tests/test_golden_sim.py` adds rows for cases the
 file lacks; it never rewrites existing rows.
@@ -46,9 +47,16 @@ def case_key(seed: int, extra: float, costs: str, decode_models: bool = False) -
     return key + " decode_models" if decode_models else key
 
 
-CASES = [
-    case_key(*case) for case in itertools.product(TRACE_SEEDS, EXTRA_LATENCIES, COSTS)
-] + [case_key(0, 100.0, "slow-uplink", True)]
+CASES = (
+    [case_key(*case) for case in itertools.product(TRACE_SEEDS, EXTRA_LATENCIES, COSTS)]
+    + [case_key(0, 100.0, "slow-uplink", True)]
+    + [
+        case_key(0, 100.0, costs) + f" strategy={strategy}"
+        for strategy in ("device", "cloud", "random")
+        for costs in COSTS
+    ]
+    + [case_key(0, 100.0, "slow-uplink") + " jitter=0"]
+)
 
 
 def run_case(key: str) -> list:
@@ -56,12 +64,18 @@ def run_case(key: str) -> list:
     costs, bandwidth = COSTS[fields["costs"]]
     seed = int(fields["seed"])
     trace = AcceptanceTrace.bernoulli(STEPS, 0.6, 0.8, derive_seed(seed, "golden-sim"))
-    net = NetModel(base_latency=2.0, extra_latency=float(fields["extra"]), bandwidth=bandwidth)
+    jitter = float(fields["jitter"]) if "jitter" in fields else None
+    net = NetModel(
+        base_latency=2.0,
+        extra_latency=float(fields["extra"]),
+        jitter_amplitude=jitter,
+        bandwidth=bandwidth,
+    )
     result = simulate(
         trace,
         costs,
         net,
-        "dragon",
+        fields.get("strategy", "dragon"),
         seed=seed,
         decode_models=DECODE_MODELS if key.endswith("decode_models") else None,
     )
