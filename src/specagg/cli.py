@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import logging
 import sys
 from pathlib import Path
 
@@ -18,8 +17,6 @@ from .retrieval import load_corpus, load_token_lines
 from .runtime import METRICS_CSV_HEADER, NodeConfig, run_node
 from .scheduler import CostVector
 from .simulator import AcceptanceTrace, NetModel, simulate
-
-log = logging.getLogger("specagg")
 
 
 def _host_port(text: str) -> tuple[str, int]:
@@ -160,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="specagg",
         description="dual-stream speculative aggregation engine and simulator",
     )
-    parser.add_argument("--log-level", default="warning", help="logging level")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
     node = sub.add_parser("node", help="run one live node against a peer")
@@ -224,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:

@@ -17,14 +17,12 @@ documents, so a state lays them out once when it starts.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .common import Side
 from .dists import LogDist, Vocab, inverse_cdf_sample, logsumexp
 from .retrieval import Document, overlap_score
 from .rng import derive_seed
@@ -42,12 +40,10 @@ class DraftRecord:
     drafted token nonzero probability by construction.
     """
 
-    side: Side
     step: int
     token: int
     dist: LogDist
     h: float
-    decode_ms: float
 
 
 @dataclass
@@ -69,7 +65,6 @@ class DecoderState:
     seed: int
     max_context: int
     chunk_size: int
-    side: Side = Side.DEVICE
     mixture_ids: np.ndarray = field(init=False, repr=False, compare=False)
     mixture_cols: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -92,7 +87,6 @@ class DecoderState:
         seed: int,
         max_context: int,
         chunk_size: int,
-        side: Side = Side.DEVICE,
     ) -> "DecoderState":
         if not retrieved:
             raise ValueError("decoder needs at least one document")
@@ -113,7 +107,6 @@ class DecoderState:
             seed=seed,
             max_context=max_context,
             chunk_size=chunk_size,
-            side=side,
         )
 
     @property
@@ -188,20 +181,12 @@ def decode_step(state: DecoderState, rng_draw: float) -> DraftRecord:
         raise ContextExhaustedError(
             f"context {len(state.context)} >= max {state.max_context}"
         )
-    started = time.perf_counter()
     dist = local_mixture(state)
     token = int(dist.token_ids[inverse_cdf_sample(dist.support_probs(), rng_draw)])
     h = corrected_weight(state)
     step = state.gen_step
     state.context.append(token)
-    return DraftRecord(
-        side=state.side,
-        step=step,
-        token=token,
-        dist=dist,
-        h=h,
-        decode_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    return DraftRecord(step=step, token=token, dist=dist, h=h)
 
 
 def rollback(state: DecoderState, accepted_prefix: Sequence[int], next_input: int) -> None:

@@ -272,9 +272,6 @@ class CompressedDist:
     def __len__(self) -> int:
         return int(self.token_ids.size)
 
-    def pairs(self) -> list[tuple[int, float]]:
-        return [(int(i), float(v)) for i, v in zip(self.token_ids, self.values)]
-
 
 def topp_encode(
     p: LogDist, p_threshold: float, *, force_token: int | None = None

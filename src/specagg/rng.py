@@ -14,18 +14,16 @@ from typing import NamedTuple
 _SCALE = float(2**64)
 
 
-def step_uniform(seed: int, purpose: str, *indices: int) -> float:
-    """Uniform in [0, 1) determined entirely by (seed, purpose, indices)."""
-    key = f"{seed}|{purpose}|" + "|".join(str(i) for i in indices)
-    digest = hashlib.blake2b(key.encode("ascii"), digest_size=8).digest()
-    return int.from_bytes(digest, "little") / _SCALE
-
-
 def derive_seed(seed: int, purpose: str, *indices: int) -> int:
-    """64-bit sub-seed for bulk generators, same keying as step_uniform."""
+    """64-bit sub-seed for bulk generators, determined by (seed, purpose, indices)."""
     key = f"{seed}|{purpose}|" + "|".join(str(i) for i in indices)
     digest = hashlib.blake2b(key.encode("ascii"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+def step_uniform(seed: int, purpose: str, *indices: int) -> float:
+    """Uniform in [0, 1) determined entirely by (seed, purpose, indices)."""
+    return derive_seed(seed, purpose, *indices) / _SCALE
 
 
 class AggregationDraws(NamedTuple):

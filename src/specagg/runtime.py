@@ -173,7 +173,6 @@ def build_decoder(config: NodeConfig, side: Side | None = None) -> DecoderState:
         config.seed,
         config.max_context,
         config.corpus.chunk_size,
-        side=side,
     )
 
 
@@ -183,16 +182,9 @@ def _draft_msg(rec: DraftRecord, top_p: float, decode_ms: float) -> DraftMsg:
     return DraftMsg(step=rec.step, token=rec.token, h=rec.h, decode_ms=decode_ms, dist=dist)
 
 
-def _draft_record(side: Side, msg: DraftMsg) -> DraftRecord:
+def _draft_record(msg: DraftMsg) -> DraftRecord:
     """What both nodes aggregate over: a draft as its wire message carries it."""
-    return DraftRecord(
-        side=side,
-        step=msg.step,
-        token=msg.token,
-        dist=topp_decode(msg.dist),
-        h=msg.h,
-        decode_ms=msg.decode_ms,
-    )
+    return DraftRecord(step=msg.step, token=msg.token, dist=topp_decode(msg.dist), h=msg.h)
 
 
 class _NodeEngine:
@@ -329,7 +321,7 @@ class _NodeEngine:
             raise self._protocol_error(
                 f"{side} draft step {msg.step} != expected {self.next_expected[side]}"
             )
-        self.queues[side].append(_draft_record(side, msg))
+        self.queues[side].append(_draft_record(msg))
         self.next_expected[side] = msg.step + 1
         self.profiler.observe_decode(side, self.config.prompt_len_abs(msg.step), msg.decode_ms)
 
@@ -567,7 +559,7 @@ def sequential_reference(config: NodeConfig) -> list[TargetEntry]:
         for side, state in states.items():
             rerank(state)
             rec = decode_step(state, decode_uniform(config.seed, step))
-            records[side] = _draft_record(side, _draft_msg(rec, config.top_p, rec.decode_ms))
+            records[side] = _draft_record(_draft_msg(rec, config.top_p, 0.0))
         outcome = aggregate(
             records[Side.DEVICE], records[Side.CLOUD], aggregation_draws(config.seed, step)
         )

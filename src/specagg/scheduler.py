@@ -41,9 +41,6 @@ class CostVector:
     def rtt(self) -> float:
         return self.c_trans_l + self.c_trans_r
 
-    def swapped(self) -> "CostVector":
-        return CostVector(self.c_dec_r, self.c_dec_l, self.c_trans_r, self.c_trans_l)
-
 
 @dataclass(frozen=True)
 class AcceptanceEstimate:
@@ -56,23 +53,24 @@ class AcceptanceEstimate:
         if not (0.0 <= self.alpha_l <= 1.0 and 0.0 <= self.alpha_r <= 1.0):
             raise ValueError("acceptance rates must lie in [0, 1]")
 
-    def swapped(self) -> "AcceptanceEstimate":
-        return AcceptanceEstimate(self.alpha_r, self.alpha_l)
-
 
 def latency_per_token(costs: CostVector, acc: AcceptanceEstimate, local: str = "l") -> float:
     """Expected wait for the next draft pair when `local` keeps aggregating.
 
     Z_l = alpha_r * max(c_dec_l, c_dec_r)
         + (1 - alpha_r) * max(c_dec_l, c_dec_r + rtt).
+
+    Z_r is the same with l and r exchanged; rtt is the same sum either way.
     """
-    if local == "r":
-        costs, acc = costs.swapped(), acc.swapped()
-    elif local != "l":
+    if local == "l":
+        c_local, c_remote, alpha_remote = costs.c_dec_l, costs.c_dec_r, acc.alpha_r
+    elif local == "r":
+        c_local, c_remote, alpha_remote = costs.c_dec_r, costs.c_dec_l, acc.alpha_l
+    else:
         raise ValueError(f"local must be 'l' or 'r', got {local!r}")
-    fast = max(costs.c_dec_l, costs.c_dec_r)
-    slow = max(costs.c_dec_l, costs.c_dec_r + costs.rtt)
-    return acc.alpha_r * fast + (1.0 - acc.alpha_r) * slow
+    fast = max(c_local, c_remote)
+    slow = max(c_local, c_remote + costs.rtt)
+    return alpha_remote * fast + (1.0 - alpha_remote) * slow
 
 
 def delta_z(costs: CostVector, acc: AcceptanceEstimate) -> float:

@@ -30,7 +30,6 @@ import numpy as np
 
 from .common import Side
 from .dists import CompressedDist
-from .profiler import DecodeModel
 from .scheduler import AggregatorPolicy, CostVector, theoretical_speedup
 from .rng import derive_seed
 from . import transport
@@ -38,6 +37,7 @@ from . import transport
 STRATEGIES = ("device", "cloud", "random", "dragon")
 TRACE_CSV_HEADER = ("step", "accept_l", "accept_r")
 DEFAULT_JITTER_PERIOD_S = 20.0 * math.pi
+SIDES = (Side.DEVICE, Side.CLOUD)
 
 
 @dataclass(frozen=True)
@@ -169,82 +169,71 @@ def simulate(
     strategy: str,
     *,
     seed: int = 0,
-    start_side: Side = Side.DEVICE,
-    draft_bytes: int | None = None,
-    target_bytes: int | None = None,
-    decode_models: dict[Side, DecodeModel] | None = None,
-    decode_t0: int = 64,
 ) -> SimResult:
     """Run the recurrence over the whole trace under one strategy.
 
     Strategies: 'device' / 'cloud' aggregate statically, 'random' re-picks a
     side after every step, 'dragon' feeds each step's outcome to an
     `AggregatorPolicy` and hands the role over whenever that outcome makes
-    the switch-charged next step cheaper.  The device stream maps to the l
-    slot of costs.
+    the switch-charged next step cheaper.  'random' and 'dragon' start on the
+    device.  The device stream maps to the l slot of costs.  Messages are
+    sized by `default_message_bytes` when the net has a bandwidth.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if draft_bytes is None or target_bytes is None:
-        measured = default_message_bytes()
-        draft_bytes = measured[0] if draft_bytes is None else draft_bytes
-        target_bytes = measured[1] if target_bytes is None else target_bytes
-
-    trans_const = {Side.DEVICE: costs.c_trans_l, Side.CLOUD: costs.c_trans_r}
-
-    def c_dec(side: Side, step: int) -> float:
-        if decode_models is not None and side in decode_models:
-            return max(0.0, decode_models[side].predict(decode_t0 + step))
-        return costs.c_dec_l if side is Side.DEVICE else costs.c_dec_r
-
-    def one_way(side: Side, at_ms: float, nbytes: int) -> float:
-        delay = trans_const[side] + instantaneous_latency(net, at_ms / 1000.0)
-        if net.bandwidth is not None:
-            delay += nbytes / net.bandwidth
-        return delay
+    # sides are indices into SIDES: 0 device, 1 cloud
+    dec = (costs.c_dec_l, costs.c_dec_r)
+    trans = (costs.c_trans_l, costs.c_trans_r)
+    if net.bandwidth is None:
+        draft_wire = target_wire = 0.0
+    else:
+        draft_bytes, target_bytes = default_message_bytes()
+        draft_wire, target_wire = draft_bytes / net.bandwidth, target_bytes / net.bandwidth
+    # a zero amplitude adds exactly +-0.0 to the constant latency
+    jitter = net.amplitude != 0.0
+    latency = net.base_latency + net.extra_latency
 
     rng = np.random.default_rng(derive_seed(seed, "strategy"))
     dragon = AggregatorPolicy() if strategy == "dragon" else None
+    dec_by_side = dict(zip(SIDES, dec))
 
-    agg = start_side if strategy in ("random", "dragon") else Side(strategy)
+    agg = 1 if strategy == "cloud" else 0
     agg_free = 0.0
-    ready = {s: c_dec(s, 0) for s in Side}
+    ready = list(dec)
+    known = [0.0, 0.0]
     per_token: list[float] = []
-    history: list[Side] = []
+    history: list[int] = []
     switches = 0
     t_prev = 0.0
 
-    for step, flags in enumerate(trace.flags):
-        remote = agg.other
-        local_avail = ready[agg]
-        remote_avail = ready[remote] + one_way(remote, ready[remote], draft_bytes)
-        t_now = max(agg_free, local_avail, remote_avail)
+    for flags in trace.flags:
+        remote = 1 - agg
+        sent = ready[remote]
+        lat = instantaneous_latency(net, sent / 1000.0) if jitter else latency
+        t_now = max(agg_free, ready[agg], sent + (trans[remote] + lat + draft_wire))
 
-        accepted = {Side.DEVICE: flags[0], Side.CLOUD: flags[1]}
-        outcome_known = {agg: t_now, remote: t_now + one_way(agg, t_now, target_bytes)}
-
-        for s in Side:
-            base = ready[s] if accepted[s] else outcome_known[s]
-            ready[s] = base + c_dec(s, step + 1)
+        lat = instantaneous_latency(net, t_now / 1000.0) if jitter else latency
+        known[agg] = t_now
+        known[remote] = t_now + (trans[agg] + lat + target_wire)
+        for s in (0, 1):
+            ready[s] = (ready[s] if flags[s] else known[s]) + dec[s]
 
         history.append(agg)
         per_token.append(t_now - t_prev)
         t_prev = t_now
 
         if strategy == "random":
-            nxt = Side.DEVICE if rng.random() < 0.5 else Side.CLOUD
+            nxt = 0 if rng.random() < 0.5 else 1
         elif dragon is not None:
             dragon.observe(*flags)
-            shared = instantaneous_latency(net, t_now / 1000.0)
-            if net.bandwidth is not None:
-                shared += draft_bytes / net.bandwidth
-            trans = {s: trans_const[s] + shared for s in Side}
-            nxt = dragon.next_side(agg, {s: c_dec(s, step + 1) for s in Side}, trans)
+            shared = lat + draft_wire
+            trans_by_side = {Side.DEVICE: trans[0] + shared, Side.CLOUD: trans[1] + shared}
+            nxt = SIDES.index(dragon.next_side(SIDES[agg], dec_by_side, trans_by_side))
         else:
             nxt = agg
-        if nxt is not agg:
+        if nxt != agg:
             switches += 1
-            agg_free = outcome_known[nxt]
+            agg_free = known[nxt]
         else:
             agg_free = t_now
         agg = nxt
@@ -253,7 +242,7 @@ def simulate(
         total_time=t_prev,
         per_token=tuple(per_token),
         switches=switches,
-        side_history=tuple(history),
+        side_history=tuple(SIDES[i] for i in history),
     )
 
 

@@ -13,7 +13,7 @@ from specagg.aggregator import (
     simulate_aggregations,
     speculative_sample,
 )
-from specagg.common import ProtocolError, Side
+from specagg.common import ProtocolError
 from specagg.decoder import DraftRecord
 from specagg.dists import LogDist, Vocab
 from specagg.rng import AggregationDraws
@@ -23,8 +23,8 @@ def dist(probs):
     return LogDist.from_probs(Vocab(len(probs)), np.asarray(probs, dtype=float))
 
 
-def record(side, step, token, probs, h=0.0):
-    return DraftRecord(side=side, step=step, token=token, dist=dist(probs), h=h, decode_ms=1.0)
+def record(step, token, probs, h=0.0):
+    return DraftRecord(step=step, token=token, dist=dist(probs), h=h)
 
 
 def draws(*u):
@@ -106,23 +106,23 @@ class TestSpeculativeSample:
 
 class TestAggregate:
     def test_identical_drafts_accepted(self):
-        l = record(Side.DEVICE, 0, 1, [0.3, 0.7])
-        r = record(Side.CLOUD, 0, 1, [0.3, 0.7])
+        l = record(0, 1, [0.3, 0.7])
+        r = record(0, 1, [0.3, 0.7])
         out = aggregate(l, r, draws(0.1, 0.2, 0.3, 0.4, 0.5))
         assert out.target == 1 and out.accept_l and out.accept_r
         assert out.resampled_from is Resampled.NONE
 
     def test_step_mismatch(self):
-        l = record(Side.DEVICE, 0, 0, [1.0, 0.0])
-        r = record(Side.CLOUD, 1, 0, [1.0, 0.0])
+        l = record(0, 0, [1.0, 0.0])
+        r = record(1, 0, [1.0, 0.0])
         with pytest.raises(ProtocolError):
             aggregate(l, r, draws(0.1, 0.2, 0.3, 0.4, 0.5))
 
     def test_one_sided_weight_limit(self):
         # h gap 50: eta_r ~ 0, so the l draft can never be rejected, and the
         # r draft resamples from the l stream whenever their supports differ
-        l = record(Side.DEVICE, 0, 0, [0.6, 0.4, 0.0], h=50.0)
-        r = record(Side.CLOUD, 0, 2, [0.0, 0.0, 1.0], h=0.0)
+        l = record(0, 0, [0.6, 0.4, 0.0], h=50.0)
+        r = record(0, 2, [0.0, 0.0, 1.0], h=0.0)
         keep_l = aggregate(l, r, draws(0.999999, 0.9, 0.0, 0.3, 0.4))
         assert keep_l.target == 0  # selection took the l sample, kept
         resampled = aggregate(l, r, draws(0.5, 0.5, 0.0, 0.3, 0.9))
@@ -130,8 +130,8 @@ class TestAggregate:
         assert resampled.target in (0, 1)  # drawn from the l stream
 
     def test_selection_split(self):
-        l = record(Side.DEVICE, 3, 0, [1.0, 0.0])
-        r = record(Side.CLOUD, 3, 1, [0.0, 1.0])
+        l = record(3, 0, [1.0, 0.0])
+        r = record(3, 1, [0.0, 1.0])
         pick_l = aggregate(l, r, draws(0.9, 0.5, 0.9, 0.5, 0.5))
         pick_r = aggregate(l, r, draws(0.9, 0.5, 0.9, 0.5, 0.500001))
         assert (pick_l.target, pick_r.target) == (0, 1)
@@ -151,8 +151,8 @@ class TestAggregate:
             if p_l.prob(x_l) == 0 or p_r.prob(x_r) == 0:
                 continue
             u = rng.random(5)
-            l = record(Side.DEVICE, 0, x_l, p_l.probs(), h=0.0)
-            r = record(Side.CLOUD, 0, x_r, p_r.probs(), h=h_r)
+            l = record(0, x_l, p_l.probs(), h=0.0)
+            r = record(0, x_r, p_r.probs(), h=h_r)
             scalar = aggregate(l, r, draws(*u))
             targets, acc_l, acc_r = aggregate_batch(
                 np.array([x_l]), np.array([x_r]), p_l, p_r,

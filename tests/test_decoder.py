@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specagg.common import Side
 from specagg.decoder import (
     ContextExhaustedError,
     DecoderState,
@@ -50,9 +49,7 @@ def one_token_doc(did, token, length=4):
 
 
 def make_state(docs_scores, prompt, vocab=8, seed=0, max_context=64, chunk=4):
-    return DecoderState.start(
-        Vocab(vocab), docs_scores, prompt, seed, max_context, chunk, side=Side.DEVICE
-    )
+    return DecoderState.start(Vocab(vocab), docs_scores, prompt, seed, max_context, chunk)
 
 
 class TestConditional:

@@ -20,8 +20,6 @@ from pathlib import Path
 
 import pytest
 
-from specagg.common import Side
-from specagg.profiler import DecodeModel
 from specagg.rng import derive_seed
 from specagg.scheduler import CostVector
 from specagg.simulator import AcceptanceTrace, NetModel, simulate
@@ -36,20 +34,14 @@ COSTS = {
     "slow-device": (CostVector(10.0, 6.0, 1.0, 1.0), None),
     "slow-uplink": (CostVector(2.0, 3.0, 20.0, 0.5), 40.0),
 }
-DECODE_MODELS = {
-    Side.DEVICE: DecodeModel(k_a=0.02, k_b=1.0, k_c=4.0),
-    Side.CLOUD: DecodeModel(k_a=-0.01, k_b=2.0, k_c=9.0),
-}
 
 
-def case_key(seed: int, extra: float, costs: str, decode_models: bool = False) -> str:
-    key = f"seed={seed} extra={extra:g} costs={costs}"
-    return key + " decode_models" if decode_models else key
+def case_key(seed: int, extra: float, costs: str) -> str:
+    return f"seed={seed} extra={extra:g} costs={costs}"
 
 
 CASES = (
     [case_key(*case) for case in itertools.product(TRACE_SEEDS, EXTRA_LATENCIES, COSTS)]
-    + [case_key(0, 100.0, "slow-uplink", True)]
     + [
         case_key(0, 100.0, costs) + f" strategy={strategy}"
         for strategy in ("device", "cloud", "random")
@@ -60,7 +52,7 @@ CASES = (
 
 
 def run_case(key: str) -> list:
-    fields = dict(part.split("=") for part in key.split() if "=" in part)
+    fields = dict(part.split("=") for part in key.split())
     costs, bandwidth = COSTS[fields["costs"]]
     seed = int(fields["seed"])
     trace = AcceptanceTrace.bernoulli(STEPS, 0.6, 0.8, derive_seed(seed, "golden-sim"))
@@ -71,14 +63,7 @@ def run_case(key: str) -> list:
         jitter_amplitude=jitter,
         bandwidth=bandwidth,
     )
-    result = simulate(
-        trace,
-        costs,
-        net,
-        fields.get("strategy", "dragon"),
-        seed=seed,
-        decode_models=DECODE_MODELS if key.endswith("decode_models") else None,
-    )
+    result = simulate(trace, costs, net, fields.get("strategy", "dragon"), seed=seed)
     history = "".join(side.value[0] for side in result.side_history)
     return [result.switches, history, result.total_time.hex()]
 

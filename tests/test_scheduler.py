@@ -33,7 +33,7 @@ class TestLatencyPerToken:
     def test_remote_orientation_swaps(self):
         costs = CostVector(1.0, 2.0, 0.5, 0.5)
         acc = AcceptanceEstimate(0.2, 0.8)
-        direct = latency_per_token(costs.swapped(), acc.swapped())
+        direct = latency_per_token(CostVector(2.0, 1.0, 0.5, 0.5), AcceptanceEstimate(0.8, 0.2))
         assert latency_per_token(costs, acc, local="r") == pytest.approx(direct)
 
     def test_local_acceptance_irrelevant(self):
