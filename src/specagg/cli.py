@@ -16,7 +16,7 @@ from .profiler import fit_offline, measure_decode_curve
 from .retrieval import load_corpus, load_token_lines
 from .runtime import METRICS_CSV_HEADER, NodeConfig, run_node
 from .scheduler import CostVector
-from .simulator import AcceptanceTrace, NetModel, simulate
+from .simulator import DEFAULT_JITTER_PERIOD_S, STRATEGIES, AcceptanceTrace, NetModel, simulate
 
 
 def _host_port(text: str) -> tuple[str, int]:
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--bernoulli", type=float, help="cloud-side acceptance rate")
     sim.add_argument("--bernoulli-local", type=float, default=0.0, help="device-side rate")
     sim.add_argument("--tokens", type=int, default=1000)
-    sim.add_argument("--strategy", choices=("device", "cloud", "random", "dragon"), default="device")
+    sim.add_argument("--strategy", choices=STRATEGIES, default="device")
     sim.add_argument("--c-dec-l", type=float, default=1.0)
     sim.add_argument("--c-dec-r", type=float, default=1.5)
     sim.add_argument("--c-trans-l", type=float, default=0.0)
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--base-latency", type=float, default=0.0)
     sim.add_argument("--extra-latency", type=float, default=0.0)
     sim.add_argument("--jitter-amplitude", type=float, default=None)
-    sim.add_argument("--jitter-period", type=float, default=62.83185307179586)
+    sim.add_argument("--jitter-period", type=float, default=DEFAULT_JITTER_PERIOD_S)
     sim.add_argument("--bandwidth", type=float, default=None, help="bytes/ms")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--csv", help="per-token CSV path")

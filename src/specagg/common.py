@@ -19,6 +19,10 @@ class Side(enum.Enum):
         return self.value
 
 
+# side indices, as the scheduler and the simulator count them: 0 device, 1 cloud
+SIDES = (Side.DEVICE, Side.CLOUD)
+
+
 class ProtocolError(RuntimeError):
     """Step desync or malformed interaction between the two peers.
 

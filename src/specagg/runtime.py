@@ -26,12 +26,11 @@ loop drafts the token in one call.  The loop's only blocking wait is
 first: every message already due is handled before the loop finishes or
 starts another own decode, so no outcome waits behind speculative drafts.
 
-Side choice: each node feeds every outcome, its own or the peer's, to its
-`scheduler.AggregatorPolicy` in step order.  The aggregator then asks the
-policy about the next step, with the profiler's decode estimates and half
-the echo-probe RTT as each side's one-way cost.  The policy weighs that
-step's realized outcome and charges a hand-off the outcome's one-way trip;
-a hand-off travels with the outcome, so a peer whose draft was just
+Side choice: right after it logs an outcome, the aggregator asks
+`scheduler.choose_side` about the next step, with that outcome's accept
+flags, the profiler's decode estimates and half the echo-probe RTT as each
+side's one-way cost.  The rule charges a hand-off the outcome's one-way
+trip; a hand-off travels with the outcome, so a peer whose draft was just
 rejected takes the role and redrafts without a second link crossing.  Each
 node sends one echo probe right after its Hello, so both hold an RTT
 estimate before their first decision; its reply waits behind both nodes'
@@ -49,13 +48,13 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .aggregator import aggregate
-from .common import ProtocolError, Side
+from .common import SIDES, ProtocolError, Side
 from .decoder import DecoderState, DraftRecord, decode_step, rerank, rollback
 from .dists import Vocab, topp_decode, topp_encode
 from .profiler import SideProfiler
 from .retrieval import Corpus, Half, retrieve
 from .rng import aggregation_draws, decode_uniform
-from .scheduler import AggregatorPolicy
+from . import scheduler
 from .transport import (
     Bye,
     DelayedInbox,
@@ -216,7 +215,6 @@ class _NodeEngine:
         self.peer_hello = False
         self.switches = 0
 
-        self.policy = AggregatorPolicy()
         self.profiler = SideProfiler()
         self.rtt_ema: float | None = None
         self._probe_seq = 0
@@ -246,7 +244,7 @@ class _NodeEngine:
     # ------------------------------------------------------------- outcomes
 
     def _apply_outcome(self, step: int, target: int, accept_l: bool, accept_r: bool) -> None:
-        """Log append, policy update, queue maintenance and rollback."""
+        """Log append, queue maintenance and rollback."""
         remote = self.current_agg is not self.role  # the peer aggregated this step
         if step != len(self.log_entries):
             raise self._protocol_error(f"outcome for step {step}, expected {len(self.log_entries)}")
@@ -256,7 +254,6 @@ class _NodeEngine:
         latency = 0.0 if self._last_outcome_at is None else (now - self._last_outcome_at) * 1000.0
         self._last_outcome_at = now
         self.log_entries.append(TargetEntry(step, target, accept_l, accept_r, latency))
-        self.policy.observe(accept_l, accept_r)
 
         accepted = {Side.DEVICE: accept_l, Side.CLOUD: accept_r}
         for side in Side:
@@ -407,10 +404,13 @@ class _NodeEngine:
         if self.rtt_ema is None:
             return None  # no link estimate yet
         t_next = cfg.prompt_len_abs(step + 1)
-        c_dec = {s: self.profiler.decode_estimate(s, t_next, default=1.0) for s in Side}
-        c_trans = dict.fromkeys(Side, self.rtt_ema / 2.0)
-        chosen = self.policy.next_side(self.role, c_dec, c_trans)
-        return chosen if chosen is not self.role else None
+        c_dec = tuple(self.profiler.decode_estimate(s, t_next, default=1.0) for s in SIDES)
+        one_way = self.rtt_ema / 2.0
+        last = self.log_entries[-1]  # the outcome of `step`, just applied
+        accept = (last.accept_l, last.accept_r)
+        agg = SIDES.index(self.role)
+        chosen = scheduler.choose_side(agg, c_dec, (one_way, one_way), accept)
+        return SIDES[chosen] if chosen != agg else None
 
     def _send_echo(self) -> int:
         self._probe_seq += 1

@@ -5,22 +5,20 @@ aggregates, `r` the other one.  The per-token latency model says: an accepted
 remote draft costs only decoding overlap, a rejected one additionally burns
 a full round trip before the remote side can restart.
 
-`AggregatorPolicy` is the one place that picks the side, for the simulator
-and for both live nodes alike: callers feed it every outcome and per-side
-costs keyed by `Side`, and it orients them before asking `choose_side`.
-`choose_side` prices the next step both ways from the outcome just
-aggregated, charging a hand-off the one-way trip that carries the outcome
-(and the role) to the other side: after a rejected remote draft, the remote
-side that takes the role along with the outcome redrafts without a second
-link crossing.
+`choose_side` is the one place that picks the side, for the simulator and
+for both live nodes alike.  It works on side indices (0 device, 1 cloud) and
+index-ordered pairs of plain floats, and prices the next step both ways from
+the accept flags of the outcome just aggregated, which every caller already
+holds.  A hand-off is charged the one-way trip that carries the outcome (and
+the role) to the other side: after a rejected remote draft, the remote side
+that takes the role along with the outcome redrafts without a second link
+crossing.  Callers reach it as `scheduler.choose_side`, so a wrapper on the
+module attribute sees every decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
-from .common import Side
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,7 @@ class CostVector:
 
 @dataclass(frozen=True)
 class AcceptanceEstimate:
-    """Acceptance of each side's drafts, l/r-oriented: rates, or one step's flags."""
+    """Acceptance rate of each side's drafts, l/r-oriented."""
 
     alpha_l: float
     alpha_r: float
@@ -90,44 +88,29 @@ def delta_z(costs: CostVector, acc: AcceptanceEstimate) -> float:
     return (acc.alpha_l - 1.0) * rtt
 
 
-def choose_side(current: Side, costs: CostVector, acc: AcceptanceEstimate) -> Side:
-    """Side that should aggregate the next step; ties keep the current side.
+def choose_side(
+    agg: int,
+    c_dec: tuple[float, float],
+    c_trans: tuple[float, float],
+    accept: tuple[bool, bool],
+) -> int:
+    """Index of the side that should aggregate the next step; ties keep `agg`.
 
-    costs and acc must be oriented with l = current; acc holds the accept
-    flags of the step just aggregated (0 or 1).  Staying costs
-    Z_stay = max(c_l, c_r + (1 - a_r) * rtt); handing the role over with the
-    outcome costs Z_hand = max(t_l, c_r + (1 - a_r) * t_l, c_l + (1 - a_l) * t_l):
+    c_dec and c_trans are each side's decode and one-way transmission costs
+    (ms), accept the accept flags of the step just aggregated, all indexed
+    0 device, 1 cloud.  With l = agg, r the other side and
+    rtt = t_l + t_r, staying costs Z_stay = max(c_l, c_r + (1 - a_r) * rtt);
+    handing the role over with the outcome costs
+    Z_hand = max(t_l, c_r + (1 - a_r) * t_l, c_l + (1 - a_l) * t_l):
     the new aggregator learns the outcome one transmission later, redrafts
     at once if it was rejected, and waits for the old aggregator's draft.
     """
-    t_l = costs.c_trans_l
-    miss_l, miss_r = 1.0 - acc.alpha_l, 1.0 - acc.alpha_r
-    z_stay = max(costs.c_dec_l, costs.c_dec_r + miss_r * costs.rtt)
-    z_hand = max(t_l, costs.c_dec_r + miss_r * t_l, costs.c_dec_l + miss_l * t_l)
-    return current.other if z_hand < z_stay else current
-
-
-class AggregatorPolicy:
-    """The adaptive scheduler's state: the accept flags of the last outcome.
-
-    Every party that decides feeds `observe` each outcome once, in step
-    order, before it asks `next_side` about the following step.
-    """
-
-    def __init__(self) -> None:
-        self.last = {Side.DEVICE: True, Side.CLOUD: True}
-
-    def observe(self, accept_device: bool, accept_cloud: bool) -> None:
-        self.last = {Side.DEVICE: accept_device, Side.CLOUD: accept_cloud}
-
-    def next_side(
-        self, current: Side, c_dec: Mapping[Side, float], c_trans: Mapping[Side, float]
-    ) -> Side:
-        """Side that should aggregate next, from per-side decode and one-way costs (ms)."""
-        remote = current.other
-        costs = CostVector(c_dec[current], c_dec[remote], c_trans[current], c_trans[remote])
-        acc = AcceptanceEstimate(float(self.last[current]), float(self.last[remote]))
-        return choose_side(current, costs, acc)
+    other = 1 - agg
+    c_l, c_r, t_l = c_dec[agg], c_dec[other], c_trans[agg]
+    miss_l, miss_r = 1.0 - accept[agg], 1.0 - accept[other]
+    z_stay = max(c_l, c_r + miss_r * (t_l + c_trans[other]))
+    z_hand = max(t_l, c_r + miss_r * t_l, c_l + miss_l * t_l)
+    return other if z_hand < z_stay else agg
 
 
 def theoretical_speedup(costs: CostVector, alpha_r: float) -> float:

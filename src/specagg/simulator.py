@@ -12,9 +12,9 @@ transmission delays.  Time advances through one recurrence per aggregation:
 
 Aggregation itself costs nothing.  Network latency is the per-side constant
 plus a shared sinusoidal-jitter term sampled at send time.  The adaptive
-strategy picks each next side through `scheduler.AggregatorPolicy`, the one
-the live nodes use, fed the exact costs of the moment and the step's
-outcome.  A switch is charged as the recurrence says: the new aggregator
+strategy picks each next side with `scheduler.choose_side`, the rule the
+live nodes use, from the exact costs of the moment and the step's accept
+flags.  A switch is charged as the recurrence says: the new aggregator
 starts only once the outcome has reached it.
 """
 
@@ -28,16 +28,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import Side
+from .common import SIDES, Side
 from .dists import CompressedDist
-from .scheduler import AggregatorPolicy, CostVector, theoretical_speedup
+from .scheduler import CostVector, theoretical_speedup
 from .rng import derive_seed
-from . import transport
+from . import scheduler, transport
 
 STRATEGIES = ("device", "cloud", "random", "dragon")
 TRACE_CSV_HEADER = ("step", "accept_l", "accept_r")
 DEFAULT_JITTER_PERIOD_S = 20.0 * math.pi
-SIDES = (Side.DEVICE, Side.CLOUD)
 
 
 @dataclass(frozen=True)
@@ -173,9 +172,9 @@ def simulate(
     """Run the recurrence over the whole trace under one strategy.
 
     Strategies: 'device' / 'cloud' aggregate statically, 'random' re-picks a
-    side after every step, 'dragon' feeds each step's outcome to an
-    `AggregatorPolicy` and hands the role over whenever that outcome makes
-    the switch-charged next step cheaper.  'random' and 'dragon' start on the
+    side after every step, 'dragon' asks `scheduler.choose_side` after each
+    step and hands the role over whenever that step's outcome makes the
+    switch-charged next step cheaper.  'random' and 'dragon' start on the
     device.  The device stream maps to the l slot of costs.  Messages are
     sized by `default_message_bytes` when the net has a bandwidth.
     """
@@ -194,8 +193,6 @@ def simulate(
     latency = net.base_latency + net.extra_latency
 
     rng = np.random.default_rng(derive_seed(seed, "strategy"))
-    dragon = AggregatorPolicy() if strategy == "dragon" else None
-    dec_by_side = dict(zip(SIDES, dec))
 
     agg = 1 if strategy == "cloud" else 0
     agg_free = 0.0
@@ -224,11 +221,9 @@ def simulate(
 
         if strategy == "random":
             nxt = 0 if rng.random() < 0.5 else 1
-        elif dragon is not None:
-            dragon.observe(*flags)
+        elif strategy == "dragon":
             shared = lat + draft_wire
-            trans_by_side = {Side.DEVICE: trans[0] + shared, Side.CLOUD: trans[1] + shared}
-            nxt = SIDES.index(dragon.next_side(SIDES[agg], dec_by_side, trans_by_side))
+            nxt = scheduler.choose_side(agg, dec, (trans[0] + shared, trans[1] + shared), flags)
         else:
             nxt = agg
         if nxt != agg:

@@ -11,12 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from specagg.aggregator import aggregate
-from specagg.common import ProtocolError, Side
+from specagg.common import SIDES, ProtocolError, Side
 from specagg.decoder import decode_step, rerank, rollback
 from specagg.dists import topp_decode, topp_encode
 from specagg.retrieval import random_corpus
 from specagg.rng import aggregation_draws, decode_uniform
-from specagg import runtime
+from specagg import runtime, scheduler
 from specagg.runtime import (
     NodeConfig,
     NodeResult,
@@ -28,7 +28,6 @@ from specagg.runtime import (
     run_node,
     sequential_reference,
 )
-from specagg.scheduler import AggregatorPolicy
 from specagg.transport import (
     DelayedInbox,
     DraftMsg,
@@ -437,21 +436,37 @@ class TestEventLoop:
         engine.stream.close()
         far.close()
 
-    def test_every_node_observes_every_outcome(self, monkeypatch):
-        # the node that did not aggregate a step learns its outcome too, so
-        # a new aggregator decides from the latest outcome
-        observed = defaultdict(list)
-        original = AggregatorPolicy.observe
+    def test_every_decision_sees_the_outcome_just_aggregated(self, monkeypatch):
+        # the aggregator decides from the accept flags of the step it just
+        # logged, in index order (0 device, 1 cloud), as the side it is
+        decisions = defaultdict(list)
+        scheduling = {}
+        original_schedule = _NodeEngine._schedule
+        original_choose = scheduler.choose_side
 
-        def recording_observe(policy, accept_device, accept_cloud):
-            observed[threading.current_thread().name].append((accept_device, accept_cloud))
-            original(policy, accept_device, accept_cloud)
+        def recording_schedule(engine, step):
+            scheduling[threading.current_thread().name] = step
+            return original_schedule(engine, step)
 
-        monkeypatch.setattr(AggregatorPolicy, "observe", recording_observe)
-        device, cloud = run_loopback_pair(base_config(max_new_tokens=40, link_delay_ms=0.5))
+        def recording_choose(agg, c_dec, c_trans, accept):
+            node = threading.current_thread().name
+            decisions[node].append((scheduling[node], agg, accept))
+            return original_choose(agg, c_dec, c_trans, accept)
+
+        monkeypatch.setattr(_NodeEngine, "_schedule", recording_schedule)
+        monkeypatch.setattr(scheduler, "choose_side", recording_choose)
+        cfg = base_config(max_new_tokens=40, decode_delay_ms=2.0, link_delay_ms=5.0)
+        device, cloud = run_loopback_pair(cfg)
+        assert keys(device.target_log) == keys(cloud.target_log)
         for side, result in ((Side.DEVICE, device), (Side.CLOUD, cloud)):
-            rows = [(e.accept_l, e.accept_r) for e in result.target_log]
-            assert observed[f"node-{side}"] == rows
+            calls = decisions[f"node-{side}"]
+            assert calls  # the role moves on a remote rejection, so both sides decide
+            steps = [step for step, _, _ in calls]
+            assert steps == sorted(set(steps))
+            for step, agg, accept in calls:
+                entry = result.target_log[step]
+                assert agg == SIDES.index(side)
+                assert accept == (entry.accept_l, entry.accept_r)
 
     def test_oracle_under_fast_thread_switching(self):
         # one thread per node, both in this process; switching every 10 us

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from specagg.common import Side
 from specagg.scheduler import (
     AcceptanceEstimate,
     CostVector,
@@ -83,28 +82,31 @@ class TestDeltaZ:
             assert all(x <= y + 1e-12 for x, y in zip(values, values[1:]))
 
 
+def oriented(agg, l, r):
+    """An index-ordered pair (0 device, 1 cloud) with l at the aggregator's index."""
+    return (l, r) if agg == 0 else (r, l)
+
+
 class TestChooseSide:
     def test_slow_decoder_keeps_aggregation(self):
         # local decode dominates the round trip: stay, whatever the rates
-        costs = CostVector(10.0, 1.0, 1.0, 1.0)
-        for a_l in (0.0, 0.5, 1.0):
-            acc = AcceptanceEstimate(a_l, 0.5)
-            assert choose_side(Side.DEVICE, costs, acc) is Side.DEVICE
+        for agg in (0, 1):
+            c_dec, c_trans = oriented(agg, 10.0, 1.0), oriented(agg, 1.0, 1.0)
+            for a_l in (0.0, 0.5, 1.0):
+                assert choose_side(agg, c_dec, c_trans, oriented(agg, a_l, 0.5)) == agg
 
     def test_case_study_regime_switches(self):
         # remote decodes faster, gap below rtt, local always accepted and
         # remote never: move aggregation to the remote side
-        costs = CostVector(2.0, 1.5, 0.5, 0.5)
-        acc = AcceptanceEstimate(1.0, 0.0)
-        assert choose_side(Side.DEVICE, costs, acc) is Side.CLOUD
+        for agg in (0, 1):
+            c_dec, c_trans = oriented(agg, 2.0, 1.5), oriented(agg, 0.5, 0.5)
+            assert choose_side(agg, c_dec, c_trans, oriented(agg, True, False)) == 1 - agg
 
     def test_symmetric_tie_stays(self):
         # both drafts accepted on a symmetric link: staying and handing over
         # both wait max(c_l, c_r) = t_l, so the current side keeps the role
-        costs = CostVector(1.0, 1.0, 1.0, 1.0)
-        acc = AcceptanceEstimate(1.0, 1.0)
-        for current in Side:
-            assert choose_side(current, costs, acc) is current
+        for agg in (0, 1):
+            assert choose_side(agg, (1.0, 1.0), (1.0, 1.0), (True, True)) == agg
 
     def test_picks_lower_latency_side_on_lattice(self):
         # the next step's wait both ways, from the step just aggregated:
@@ -115,17 +117,17 @@ class TestChooseSide:
         grid = (0.1, 0.5, 2.0, 10.0, 25.0, 60.0)
         links = (0.0, 0.5, 25.0)
         for c_l, c_r, t_l, t_r in itertools.product(grid, grid, links, links):
-            costs = CostVector(c_l, c_r, t_l, t_r)
             for a_l, a_r in itertools.product((True, False), repeat=2):
                 remote_stay = c_r if a_r else t_l + c_r + t_r
                 z_stay = max(c_l, remote_stay)
                 remote_hand = c_r if a_r else t_l + c_r
                 local_hand = c_l if a_l else c_l + t_l
                 z_hand = max(t_l, remote_hand, local_hand)
-                acc = AcceptanceEstimate(float(a_l), float(a_r))
-                for current in Side:
-                    expected = current.other if z_hand < z_stay else current
-                    assert choose_side(current, costs, acc) is expected
+                for agg in (0, 1):
+                    expected = 1 - agg if z_hand < z_stay else agg
+                    c_dec, c_trans = oriented(agg, c_l, c_r), oriented(agg, t_l, t_r)
+                    accept = oriented(agg, a_l, a_r)
+                    assert choose_side(agg, c_dec, c_trans, accept) == expected
 
 
 class TestTheoreticalSpeedup:
