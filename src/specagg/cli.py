@@ -1,4 +1,4 @@
-"""Command-line entry point: node, simulate, fit-profile.
+"""Command-line entry point: node, simulate.
 
 All outputs are CSV or newline-delimited logs; every subcommand is
 deterministic given --seed.
@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from .common import Side
-from .profiler import fit_offline, measure_decode_curve
 from .retrieval import load_corpus, load_token_lines
 from .runtime import METRICS_CSV_HEADER, NodeConfig, run_node
 from .scheduler import CostVector
@@ -130,28 +129,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fit_profile(args: argparse.Namespace) -> int:
-    samples = measure_decode_curve(
-        vocab_size=args.vocab,
-        n_docs=args.docs,
-        chunk_size=args.chunk_size,
-        max_context=args.max_context,
-        repeats=args.repeats,
-        seed=args.seed,
-        sleep_ms=args.per_step_ms,
-    )
-    model = fit_offline(samples)
-    if args.csv:
-        _write_csv(
-            args.csv,
-            ("t", "c_dec_ms"),
-            [(t, f"{c:.6f}") for t, c in samples],
-        )
-    print(f"k_a={model.k_a:.6g} k_b={model.k_b:.6g} k_c={model.k_c:.6g}")
-    print(f"predicted at t={args.max_context - 1}: {model.predict(args.max_context - 1):.4f} ms")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specagg",
@@ -202,17 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--csv", help="per-token CSV path")
     sim.set_defaults(func=cmd_simulate)
-
-    fit = sub.add_parser("fit-profile", help="offline decode-latency fit from a dummy run")
-    fit.add_argument("--vocab", type=int, default=256)
-    fit.add_argument("--docs", type=int, default=4)
-    fit.add_argument("--chunk-size", type=int, default=64)
-    fit.add_argument("--max-context", type=int, default=256)
-    fit.add_argument("--repeats", type=int, default=3)
-    fit.add_argument("--per-step-ms", type=float, default=0.0)
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--csv", help="raw samples CSV path")
-    fit.set_defaults(func=cmd_fit_profile)
 
     return parser
 

@@ -42,6 +42,7 @@ state dump.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -124,8 +125,9 @@ class NodeConfig:
             raise ValueError("prompt must be non-empty")
         if self.max_new_tokens < 0:
             raise ValueError("max_new_tokens must be >= 0")
-        if self.decode_delay_ms < 0.0 or self.link_delay_ms < 0.0:
-            raise ValueError("decode and link delays must be >= 0")
+        delays = (self.decode_delay_ms, self.link_delay_ms)
+        if not all(math.isfinite(d) and d >= 0.0 for d in delays):
+            raise ValueError("decode and link delays must be finite and >= 0")
         if len(self.prompt) + self.max_new_tokens > self.max_context:
             raise ValueError(
                 f"prompt ({len(self.prompt)}) + max_new_tokens ({self.max_new_tokens}) "
@@ -207,7 +209,7 @@ class _NodeEngine:
 
         self.queues: dict[Side, deque[DraftRecord]] = {s: deque() for s in Side}
         self.next_expected: dict[Side, int] = {s: 0 for s in Side}
-        self.awaiting_ack: dict[Side, int | None] = {s: None for s in Side}
+        self.awaiting_ack: int | None = None  # step of the peer rollback not yet acked
         self.log_entries: list[TargetEntry] = []
         self.current_agg: Side = config.static_side or Side.DEVICE
         # perf_counter time the own decode under way falls due; None: none is
@@ -273,7 +275,7 @@ class _NodeEngine:
                         self.stream.send(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step, t_send=now))
                 elif not remote:
                     # I aggregate: the remote side's fresh drafts race its ack
-                    self.awaiting_ack[side] = step
+                    self.awaiting_ack = step
 
     def _switch(self, side: Side | None) -> None:
         if side is not None and side is not self.current_agg:
@@ -333,7 +335,7 @@ class _NodeEngine:
         peer = self.role.other
         if isinstance(msg, DraftMsg):
             # until the peer acks its rollback, its drafts are stale speculation
-            if self.awaiting_ack[peer] is None:
+            if self.awaiting_ack is None:
                 self._queue_draft(peer, msg)
         elif isinstance(msg, TargetMsg):
             if self.current_agg is self.role:
@@ -341,13 +343,13 @@ class _NodeEngine:
             self._apply_outcome(msg.step, msg.target, msg.accept_l, msg.accept_r)
             self._switch(msg.switch_to)
         elif isinstance(msg, ProbeMsg):
-            self._on_probe(peer, msg)
+            self._on_probe(msg)
         elif isinstance(msg, Hello):
             self.peer_hello = True
         else:
             raise self._protocol_error("peer said bye before the log was final")
 
-    def _on_probe(self, peer: Side, msg: ProbeMsg) -> None:
+    def _on_probe(self, msg: ProbeMsg) -> None:
         if msg.kind is ProbeKind.ECHO_REQUEST:
             self.stream.send(ProbeMsg(ProbeKind.ECHO_REPLY, seq=msg.seq, t_send=msg.t_send))
         elif msg.kind is ProbeKind.ECHO_REPLY:
@@ -358,9 +360,9 @@ class _NodeEngine:
             self.rtt_ema = 0.8 * self.rtt_ema + 0.2 * rtt_ms if blend else rtt_ms
             self._rtt_blend = msg.seq != self._handshake_probe
         elif msg.kind is ProbeKind.ROLLBACK_ACK:
-            if self.awaiting_ack[peer] != msg.seq:
+            if self.awaiting_ack != msg.seq:
                 raise self._protocol_error(f"unexpected rollback ack for step {msg.seq}")
-            self.awaiting_ack[peer] = None
+            self.awaiting_ack = None
 
     # ----------------------------------------------------------- aggregation
 

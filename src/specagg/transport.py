@@ -196,8 +196,10 @@ def _decode_body(msg_type: int, body: bytes) -> Message:
         if len(body) != _TARGET.size:
             raise FrameLengthError(f"target body must be {_TARGET.size} bytes")
         step, target, a_l, a_r, switch = _TARGET.unpack(body)
+        if a_l not in (0, 1) or a_r not in (0, 1):
+            raise MalformedMessageError(f"accept bytes must be 0 or 1, got {a_l}, {a_r}")
         if switch not in _CODE_SIDE:
-            raise FrameLengthError(f"bad switch code {switch}")
+            raise MalformedMessageError(f"bad switch code {switch}")
         return TargetMsg(
             step=step,
             target=target,

@@ -104,17 +104,3 @@ class TestNodeCommand:
         )
         assert result.returncode != 0
         assert "error" in result.stderr.lower() or "No such file" in result.stderr
-
-
-class TestFitProfile:
-    def test_prints_coefficients(self, tmp_path):
-        out = tmp_path / "samples.csv"
-        result = run_cli(
-            "fit-profile", "--vocab", "64", "--docs", "2", "--chunk-size", "8",
-            "--max-context", "32", "--repeats", "2", "--csv", str(out),
-        )
-        assert result.returncode == 0, result.stderr
-        assert "k_a=" in result.stdout and "k_c=" in result.stdout
-        rows = list(csv.reader(out.read_text().splitlines()))
-        assert rows[0] == ["t", "c_dec_ms"]
-        assert len(rows) == 1 + (32 - 8)

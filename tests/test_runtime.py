@@ -1,3 +1,4 @@
+import math
 import socket
 import sys
 import threading
@@ -363,7 +364,7 @@ class TestEventLoop:
             peer.send(peer_draft(step))
         engine._loop_until(lambda: len(engine.log_entries) > s, "test")
         assert keys(engine.log_entries) == keys(reference[: s + 1])
-        assert engine.awaiting_ack[Side.CLOUD] == s
+        assert engine.awaiting_ack == s
 
         def deliver(msg):
             peer.send(msg)
@@ -376,7 +377,7 @@ class TestEventLoop:
         with pytest.raises(ProtocolError, match="rollback ack"):
             deliver(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=s + 1, t_send=0.0))
         deliver(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=s, t_send=0.0))
-        assert engine.awaiting_ack[Side.CLOUD] is None
+        assert engine.awaiting_ack is None
         prefix = cfg.prompt + [e.token for e in reference[:s]]
         rollback(peer_state, prefix, reference[s].token)
         deliver(peer_draft(s + 1))
@@ -401,7 +402,7 @@ class TestEventLoop:
 
         def reply(seq, rtt_ms):
             t_send = 10.0 - rtt_ms / 1000.0
-            engine._on_probe(Side.CLOUD, ProbeMsg(ProbeKind.ECHO_REPLY, seq=seq, t_send=t_send))
+            engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=seq, t_send=t_send))
             return engine.rtt_ema
 
         hs = engine._handshake_probe
@@ -568,7 +569,8 @@ class TestFailFast:
     def test_config_rejects_negative_length_and_delays(self):
         with pytest.raises(ValueError, match="max_new_tokens"):
             base_config(max_new_tokens=-3).validate()
-        with pytest.raises(ValueError, match="delays"):
-            base_config(decode_delay_ms=-2.0).validate()
-        with pytest.raises(ValueError, match="delays"):
-            base_config(link_delay_ms=-5.0).validate()
+        for bad in (-2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="delays"):
+                base_config(decode_delay_ms=bad).validate()
+            with pytest.raises(ValueError, match="delays"):
+                base_config(link_delay_ms=bad).validate()

@@ -47,6 +47,12 @@ def raw_draft(token, ids, values, vocab_size=100):
     return HEADER.pack(MsgType.DRAFT, Codec.NONE, len(body)) + body
 
 
+def raw_target(accept_l=1, switch=0):
+    """A target frame packed by hand, so its accept byte or switch code can be out of range."""
+    body = transport._TARGET.pack(4, 9, accept_l, 0, switch)
+    return HEADER.pack(MsgType.TARGET, Codec.NONE, len(body)) + body
+
+
 def two_pair_dist():
     return CompressedDist(
         vocab_size=100,
@@ -157,8 +163,18 @@ class TestErrors:
             raw_draft(3, [3, 17], [0.5, 0.0]),  # zero mass
             raw_draft(3, [3, 170], [0.5, 0.25]),  # id outside the vocabulary
             raw_draft(3, [], []),  # empty
+            raw_target(accept_l=2),
+            raw_target(switch=3),
         ],
-        ids=["probe-kind-9", "ids-decreasing", "zero-value", "id-outside-vocab", "empty"],
+        ids=[
+            "probe-kind-9",
+            "ids-decreasing",
+            "zero-value",
+            "id-outside-vocab",
+            "empty",
+            "accept-byte-2",
+            "switch-code-3",
+        ],
     )
     def test_malformed_body(self, frame):
         with pytest.raises(MalformedMessageError):
