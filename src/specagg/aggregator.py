@@ -71,7 +71,7 @@ def speculative_sample(
     if la == -math.inf:
         raise ValueError(f"draft token {x} has zero probability under its own stream")
     if la > lb and u_reject < eta * (1.0 - math.exp(lb - la)):
-        residual = np.maximum(p_b.support_probs() - p_a.probs_at(p_b.token_ids), 0.0)
+        residual = np.maximum(p_b.support_probs - p_a.probs_at(p_b.token_ids), 0.0)
         # empty only when p_a(x) > p_b(x) by rounding alone: nothing to resample, keep x
         if residual.sum() > 0.0:
             return int(p_b.token_ids[inverse_cdf_sample(residual, u_resample)])

@@ -3,10 +3,11 @@
 Each side drafts tokens from a mixture of per-document conditionals.  The
 conditional is a per-document bigram table with add-one smoothing over the
 document's distinct tokens; when the previous token has no successors in the
-document, a categorical seeded by (doc id, previous token) stands in.  This
-keeps the two sides' distributions genuinely different yet fully
-reproducible from (context, documents, scores, seed) alone.  The decoder has
-no hidden state, so rolling back is just truncating the context.
+document, normalized Exp(1) weights drawn from one hash of (doc id, previous
+token) stand in (`rng.keyed_exponentials`).  This keeps the two sides'
+distributions genuinely different yet fully reproducible from (context,
+documents, scores, seed) alone.  The decoder has no hidden state, so rolling
+back is just truncating the context.
 
 Either way a conditional's support is the document's distinct tokens, so a
 mixture of k documents has at most k * chunk_size ids whatever the
@@ -25,7 +26,7 @@ import numpy as np
 
 from .dists import LogDist, Vocab, inverse_cdf_sample, logsumexp
 from .retrieval import Document, overlap_score
-from .rng import derive_seed
+from .rng import keyed_exponentials
 
 
 class ContextExhaustedError(RuntimeError):
@@ -129,8 +130,7 @@ def _conditional(doc: Document, prev: int) -> tuple[np.ndarray, np.ndarray]:
     if row is not None:
         weights = row + 1.0
     else:
-        rng = np.random.default_rng(derive_seed(doc.id, "fallback", prev))
-        weights = rng.exponential(size=doc.distinct_ids.size)
+        weights = keyed_exponentials(doc.distinct_ids.size, doc.id, "fallback", prev)
     logp = np.log(weights / weights.sum())
     logp.setflags(write=False)
     return doc.distinct_ids, logp
@@ -154,15 +154,16 @@ def corrected_weight(state: DecoderState) -> float:
     return float(logsumexp(state.scores))
 
 
-def local_mixture(state: DecoderState) -> LogDist:
+def local_mixture(state: DecoderState, h: float | None = None) -> LogDist:
     """Per-side mixture: softmax(scores) over per-document conditionals.
 
-    The (k, |union of supports|) table holds the same columns as a dense
-    (k, V) table would, minus the all-zero ones, so each mixed log-prob is
-    computed by the same arithmetic.
+    h is `corrected_weight(state)` when the caller already holds it.  The
+    (k, |union of supports|) table holds the same columns as a dense (k, V)
+    table would, minus the all-zero ones, so each mixed log-prob is computed
+    by the same arithmetic.
     """
     prev = state.context[-1]
-    log_w = state.scores - logsumexp(state.scores)
+    log_w = state.scores - (corrected_weight(state) if h is None else h)
     k = len(state.docs)
     table = np.full(k * state.mixture_ids.size, -np.inf)
     table[state.mixture_cols] = np.concatenate([_conditional(doc, prev)[1] for doc in state.docs])
@@ -181,9 +182,9 @@ def decode_step(state: DecoderState, rng_draw: float) -> DraftRecord:
         raise ContextExhaustedError(
             f"context {len(state.context)} >= max {state.max_context}"
         )
-    dist = local_mixture(state)
-    token = int(dist.token_ids[inverse_cdf_sample(dist.support_probs(), rng_draw)])
     h = corrected_weight(state)
+    dist = local_mixture(state, h)
+    token = int(dist.token_ids[inverse_cdf_sample(dist.support_probs, rng_draw)])
     step = state.gen_step
     state.context.append(token)
     return DraftRecord(step=step, token=token, dist=dist, h=h)

@@ -158,9 +158,15 @@ class LogDist:
         """Dense linear-space copy; logp <= 0 throughout so exp never overflows."""
         return np.exp(self.logp)
 
+    @functools.cached_property
     def support_probs(self) -> np.ndarray:
-        """Linear-space probabilities of `token_ids`, in the same order."""
-        return np.exp(self.support_logp)
+        """Read-only linear-space probabilities of `token_ids`, in the same order.
+
+        Cached: an own draft samples from them and then encodes them.
+        """
+        out = np.exp(self.support_logp)
+        out.setflags(write=False)
+        return out
 
     def logp_of(self, token: int) -> float:
         """Log-prob of one token by binary search; -inf off the support."""
@@ -285,7 +291,7 @@ def topp_encode(
     """
     if not 0.0 < p_threshold <= 1.0:
         raise ValueError(f"p_threshold must be in (0, 1], got {p_threshold}")
-    probs = p.support_probs()
+    probs = p.support_probs
     nonzero = (probs > 0.0).nonzero()[0]
     if nonzero.size == 0:
         raise ValueError("empty distribution")

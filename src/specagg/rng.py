@@ -1,9 +1,15 @@
-"""Step-indexed deterministic uniform draws.
+"""Keyed deterministic draws.
 
-Every random decision in a run is keyed by (seed, purpose, step) through a
-hash, never by generator state.  Two processes that share a seed therefore
-draw identical values no matter how their work interleaves, and a speculative
-decode that gets discarded and redone consumes the same draw both times.
+Every random decision a node makes is keyed by (seed, purpose, indices)
+through a hash, never by generator state.  Two processes that share a seed
+therefore draw identical values no matter how their work interleaves, and a
+speculative decode that gets discarded and redone consumes the same draw both
+times.  A node draws its uniforms and its fallback rows' exponential weights
+this way, counter-based as in Salmon et al. ("Parallel Random Numbers: As
+Easy as 1, 2, 3", SC 2011): one hash per key and no generator to construct,
+so no node ever loads `numpy.random`.  `derive_seed` also seeds the bulk
+generators of the corpus, trace and verification helpers, which run outside
+the nodes.
 """
 
 from __future__ import annotations
@@ -11,14 +17,30 @@ from __future__ import annotations
 import hashlib
 from typing import NamedTuple
 
+import numpy as np
+
 _SCALE = float(2**64)
+
+
+def _key(seed: int, purpose: str, indices: tuple[int, ...]) -> bytes:
+    return (f"{seed}|{purpose}|" + "|".join(str(i) for i in indices)).encode("ascii")
 
 
 def derive_seed(seed: int, purpose: str, *indices: int) -> int:
     """64-bit sub-seed for bulk generators, determined by (seed, purpose, indices)."""
-    key = f"{seed}|{purpose}|" + "|".join(str(i) for i in indices)
-    digest = hashlib.blake2b(key.encode("ascii"), digest_size=8).digest()
+    digest = hashlib.blake2b(_key(seed, purpose, indices), digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+def keyed_exponentials(n: int, seed: int, purpose: str, *indices: int) -> np.ndarray:
+    """n Exp(1) draws determined entirely by (seed, purpose, indices).
+
+    One SHAKE-256 digest of the key gives n 32-bit words; word x becomes the
+    uniform (x + 1/2) / 2^32, strictly inside (0, 1), and -log of it a
+    positive, finite weight (at most 22.9).
+    """
+    words = np.frombuffer(hashlib.shake_256(_key(seed, purpose, indices)).digest(4 * n), "<u4")
+    return -np.log((words + 0.5) * 2.0**-32)
 
 
 def step_uniform(seed: int, purpose: str, *indices: int) -> float:

@@ -405,9 +405,13 @@ def listen_once(host: str, port: int, *, vocab_size: int) -> tuple[MessageStream
 def connect(host: str, port: int, *, vocab_size: int) -> MessageStream:
     """Connect to a listening peer, retrying briefly while it comes up."""
     deadline = time.perf_counter() + CONNECT_TIMEOUT_S
+    # getaddrinfo encodes a str host with the idna codec, whose first use
+    # imports encodings.idna, stringprep and unicodedata (~2 ms) inside the
+    # device's TTFT; an ASCII name is its own encoding
+    address = (host.encode("ascii") if host.isascii() else host, port)
     while True:
         try:
-            sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
+            sock = socket.create_connection(address, timeout=CONNECT_TIMEOUT_S)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             return MessageStream(sock, vocab_size=vocab_size)
         except OSError:

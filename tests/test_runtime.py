@@ -1,5 +1,6 @@
 import math
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -15,7 +16,7 @@ from specagg.aggregator import aggregate
 from specagg.common import SIDES, ProtocolError, Side
 from specagg.decoder import decode_step, rerank, rollback
 from specagg.dists import topp_decode, topp_encode
-from specagg.retrieval import random_corpus
+from specagg.retrieval import random_corpus, save_corpus
 from specagg.rng import aggregation_draws, decode_uniform
 from specagg import runtime, scheduler
 from specagg.runtime import (
@@ -177,6 +178,33 @@ class TestSparsePath:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+    def test_fresh_node_pair_loads_neither_numpy_random_nor_idna(self, tmp_path):
+        # numpy.random (8-10 ms) and the idna codec (2 ms) are lazy imports: a
+        # node that touched either would pay for it inside its first token
+        corpus_path = tmp_path / "corpus.txt"
+        save_corpus(random_corpus(48, 32768, seed=11, chunk_size=64), corpus_path)
+        script = (
+            "import sys\n"
+            "from specagg.common import Side\n"
+            "from specagg.retrieval import load_corpus\n"
+            "from specagg.runtime import NodeConfig, run_loopback_pair\n"
+            "corpus = load_corpus(sys.argv[1], 64)\n"
+            "cfg = NodeConfig(role=Side.DEVICE, corpus=corpus, vocab_size=32768,\n"
+            "    prompt=list(corpus.docs[3].tokens[:24]), max_new_tokens=24, seed=5)\n"
+            "device, cloud = run_loopback_pair(cfg)\n"
+            "assert len(device.target_log) == len(cloud.target_log) == 24\n"
+            "print(sorted({'numpy.random', 'encodings.idna'} & set(sys.modules)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(corpus_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 MODES = {

@@ -206,7 +206,7 @@ class TestSizeDiscipline:
         assert len(encode_frame(msg)) * 400 < dense_bytes
 
 
-def loopback_pair(vocab_size=FUZZ_VOCAB):
+def loopback_pair(vocab_size=FUZZ_VOCAB, host="127.0.0.1"):
     result = {}
 
     # bind a real port first so the client knows where to go
@@ -220,7 +220,7 @@ def loopback_pair(vocab_size=FUZZ_VOCAB):
 
     thread = threading.Thread(target=serve_on_port, daemon=True)
     thread.start()
-    client = connect("127.0.0.1", port, vocab_size=vocab_size)
+    client = connect(host, port, vocab_size=vocab_size)
     thread.join(timeout=5.0)
     return client, result["server"]
 
@@ -234,6 +234,14 @@ class TestLiveStream:
             client.send(m)
         got = [server.recv() for _ in msgs]
         assert got == msgs
+        client.close()
+        server.close()
+
+    def test_connect_resolves_a_hostname(self):
+        client, server = loopback_pair(host="localhost")
+        msg = TargetMsg(step=3, target=5, accept_l=True, accept_r=False)
+        client.send(msg)
+        assert server.recv() == msg
         client.close()
         server.close()
 
