@@ -406,8 +406,8 @@ def connect(host: str, port: int, *, vocab_size: int) -> MessageStream:
     """Connect to a listening peer, retrying briefly while it comes up."""
     deadline = time.perf_counter() + CONNECT_TIMEOUT_S
     # getaddrinfo encodes a str host with the idna codec, whose first use
-    # imports encodings.idna, stringprep and unicodedata (~2 ms) inside the
-    # device's TTFT; an ASCII name is its own encoding
+    # imports encodings.idna, stringprep and unicodedata inside the device's
+    # TTFT; an ASCII name is its own encoding
     address = (host.encode("ascii") if host.isascii() else host, port)
     while True:
         try:

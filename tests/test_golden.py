@@ -10,6 +10,10 @@ At top-p 1.0 and V >= 4096 the dense code raised, because a kept
 probability below 2^-25 encoded as f16 0.  The rows of those five
 configurations were added once `topp_encode` sent such masses as the
 smallest positive f16, which leaves every other encoding unchanged.
+Every row was re-recorded once, from the sparse code, when the decoder's
+fallback row took its weights from one keyed hash
+(`rng.keyed_exponentials`) instead of a seeded `numpy.random` generator,
+which no node loads any more.
 
 `PYTHONPATH=src python tests/test_golden.py` adds rows for configurations
 the file lacks; it never rewrites existing rows.

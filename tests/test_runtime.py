@@ -181,7 +181,7 @@ class TestSparsePath:
 
 
     def test_fresh_node_pair_loads_neither_numpy_random_nor_idna(self, tmp_path):
-        # numpy.random (8-10 ms) and the idna codec (2 ms) are lazy imports: a
+        # numpy.random and the idna codec are lazy imports of several ms: a
         # node that touched either would pay for it inside its first token
         corpus_path = tmp_path / "corpus.txt"
         save_corpus(random_corpus(48, 32768, seed=11, chunk_size=64), corpus_path)
