@@ -28,7 +28,8 @@ starts another own decode, so no outcome waits behind speculative drafts.
 
 Side choice: right after it logs an outcome, the aggregator asks
 `scheduler.choose_side` about the next step, with that outcome's accept
-flags, the profiler's decode estimates and half the echo-probe RTT as each
+flags, each side's running decode level from the profiler (both drafts of
+the step were observed when queued) and half the echo-probe RTT as each
 side's one-way cost.  The rule charges a hand-off the outcome's one-way
 trip; a hand-off travels with the outcome, so a peer whose draft was just
 rejected takes the role and redrafts without a second link crossing.  Each
@@ -116,10 +117,6 @@ class NodeConfig:
             return Half.FIRST if side is Side.DEVICE else Half.SECOND
         return Half(self.half)
 
-    def prompt_len_abs(self, gen_step: int) -> int:
-        """Absolute context position of a generation step (prompt included)."""
-        return len(self.prompt) + gen_step
-
     def validate(self) -> None:
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
@@ -138,7 +135,7 @@ class NodeConfig:
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must be in (0, 1]")
         if self.corpus.max_token() >= self.vocab_size or any(
-            t >= self.vocab_size for t in self.prompt
+            not 0 <= t < self.vocab_size for t in self.prompt
         ):
             raise ValueError("corpus or prompt token outside vocabulary")
 
@@ -309,8 +306,12 @@ class _NodeEngine:
         rec = decode_step(self.state, decode_uniform(cfg.seed, self.state.gen_step))
         decode_ms = cfg.decode_delay_ms + (time.perf_counter() - computed) * 1000.0
         msg = _draft_msg(rec, cfg.top_p, decode_ms)
+        # a profile row pairs the decode with the estimate held before it
+        pred = self.profiler.decode_estimate(self.role)
         self._queue_draft(self.role, msg)
-        self._record_profile(rec.step, decode_ms)
+        pred = decode_ms if pred is None else pred
+        t_abs = len(cfg.prompt) + rec.step
+        self.profile_rows.append((t_abs, decode_ms, pred, self.rtt_ema or 0.0))
         self.stream.send(msg)
         return True
 
@@ -322,12 +323,7 @@ class _NodeEngine:
             )
         self.queues[side].append(_draft_record(msg))
         self.next_expected[side] = msg.step + 1
-        self.profiler.observe_decode(side, self.config.prompt_len_abs(msg.step), msg.decode_ms)
-
-    def _record_profile(self, step: int, decode_ms: float) -> None:
-        t_abs = self.config.prompt_len_abs(step)
-        pred = self.profiler.decode_estimate(self.role, t_abs, default=decode_ms)
-        self.profile_rows.append((t_abs, decode_ms, pred, self.rtt_ema or 0.0))
+        self.profiler.observe_decode(side, msg.decode_ms)
 
     # ------------------------------------------------------------- messages
 
@@ -405,8 +401,7 @@ class _NodeEngine:
             return None
         if self.rtt_ema is None:
             return None  # no link estimate yet
-        t_next = cfg.prompt_len_abs(step + 1)
-        c_dec = tuple(self.profiler.decode_estimate(s, t_next, default=1.0) for s in SIDES)
+        c_dec = tuple(self.profiler.decode_estimate(s) for s in SIDES)
         one_way = self.rtt_ema / 2.0
         last = self.log_entries[-1]  # the outcome of `step`, just applied
         accept = (last.accept_l, last.accept_r)

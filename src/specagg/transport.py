@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import enum
 import fcntl
-import heapq
 import selectors
 import socket
 import struct
 import termios
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,16 +327,16 @@ class DelayedInbox:
     """Delivers received messages only after a fixed one-way delay.
 
     Runs on the caller's thread.  `recv` waits on the socket; each frame read
-    gets its due time stamped on arrival and goes on a heap, and each time
-    the socket is readable every frame it holds is read, so injected latency
-    applies once, never per message.
+    gets its due time stamped on arrival and joins a FIFO (every frame waits
+    the same delay, so due times never decrease), and each time the socket
+    is readable every frame it holds is read, so injected latency applies
+    once, never per message.
     """
 
     def __init__(self, stream: MessageStream, delay_ms: float = 0.0) -> None:
         self._stream = stream
         self._delay_s = delay_ms / 1000.0
-        self._heap: list[tuple[float, int, Message]] = []
-        self._seq = 0
+        self._due: deque[tuple[float, Message]] = deque()
         self._bye = False
         # select(2) takes its timeout in microseconds.  DefaultSelector is
         # epoll on Linux, which rounds every timeout up to the next whole
@@ -347,8 +347,7 @@ class DelayedInbox:
 
     def _read_frame(self) -> None:
         msg = self._stream.recv()
-        heapq.heappush(self._heap, (time.perf_counter() + self._delay_s, self._seq, msg))
-        self._seq += 1
+        self._due.append((time.perf_counter() + self._delay_s, msg))
         if isinstance(msg, Bye):
             self._bye = True  # the peer may close next; read no further
             self._selector.unregister(self._stream.fileno())
@@ -363,11 +362,11 @@ class DelayedInbox:
         polled = False
         while True:
             now = time.perf_counter()
-            if self._heap and self._heap[0][0] <= now:
-                return heapq.heappop(self._heap)[2]
+            if self._due and self._due[0][0] <= now:
+                return self._due.popleft()[1]
             if polled and deadline is not None and now >= deadline:
                 return None
-            due = self._heap[0][0] if self._heap else None
+            due = self._due[0][0] if self._due else None
             if due is None and self._bye:
                 raise ConnectionClosedError("stream ended after bye")
             wake_at = min((t for t in (due, deadline) if t is not None), default=None)

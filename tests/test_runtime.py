@@ -144,6 +144,54 @@ class TestLoopback:
         device, _ = run_loopback_pair(base_config(max_new_tokens=16))
         assert all(e.latency_ms >= 0.0 for e in device.target_log)
 
+    def test_asymmetric_decode_delays_reach_the_scheduler(self, monkeypatch):
+        # each node injects its own decode delay; every decision must price
+        # a side at least at that delay, and the slow device above the cloud.
+        # Here the estimates decide: with both zeroed, a rejected cloud draft
+        # would hand the role to the cloud, and the slow device keeps it.
+        decisions = []
+        original = scheduler.choose_side
+
+        def recording(agg, c_dec, c_trans, accept):
+            decisions.append(c_dec)
+            return original(agg, c_dec, c_trans, accept)
+
+        monkeypatch.setattr(scheduler, "choose_side", recording)
+        cfg = base_config(max_new_tokens=40, link_delay_ms=2.0)
+        port = free_port()
+        configs = {
+            Side.DEVICE: replace(
+                cfg, role=Side.DEVICE, peer=("127.0.0.1", port), decode_delay_ms=10.0
+            ),
+            Side.CLOUD: replace(
+                cfg, role=Side.CLOUD, listen=("127.0.0.1", port), decode_delay_ms=1.0
+            ),
+        }
+        results: dict[Side, NodeResult | BaseException] = {}
+
+        def run(side):
+            try:
+                results[side] = run_node(configs[side])
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                results[side] = exc
+
+        threads = [
+            threading.Thread(target=run, args=(side,), daemon=True)
+            for side in (Side.CLOUD, Side.DEVICE)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+        reference = keys(sequential_reference(cfg))
+        for side in Side:
+            assert isinstance(results.get(side), NodeResult), results.get(side)
+            assert keys(results[side].target_log) == reference
+        assert decisions
+        for c_dev, c_cloud in decisions:
+            assert c_dev >= 10.0 and c_cloud >= 1.0
+            assert c_dev > c_cloud
+
 
 class TestNodeResult:
     def test_mean_latency_leaves_out_the_first_token(self):
@@ -465,6 +513,30 @@ class TestEventLoop:
         engine.stream.close()
         far.close()
 
+    def test_profile_row_predicts_before_it_observes(self, monkeypatch):
+        # c_dec_pred is the estimate the node held before the decode, not one
+        # that already blends it in; the first decode has none, so its row
+        # records the observation
+        near, far = socket.socketpair()
+        cfg = base_config()
+        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
+        clock = [100.0]
+        monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
+        for delay_ms in (5.0, 15.0, 15.0):
+            cfg.decode_delay_ms = delay_ms
+            engine._start_decode()
+            clock[0] += 1.0
+            assert engine._finish_decode()
+        monkeypatch.undo()
+        rows = engine.profile_rows
+        assert [row[0] for row in rows] == [len(cfg.prompt) + step for step in range(3)]
+        assert [row[1] for row in rows] == pytest.approx([5.0, 15.0, 15.0])
+        # 5.0, then 0.7 * 5.0 + 0.3 * 15.0 = 8.0
+        assert [row[2] for row in rows] == pytest.approx([5.0, 5.0, 8.0])
+        engine.inbox.close()
+        engine.stream.close()
+        far.close()
+
     def test_every_decision_sees_the_outcome_just_aggregated(self, monkeypatch):
         # the aggregator decides from the accept flags of the step it just
         # logged, in index order (0 device, 1 cloud), as the side it is
@@ -591,6 +663,8 @@ class TestFailFast:
             base_config(max_new_tokens=300).validate()
         with pytest.raises(ValueError, match="vocabulary"):
             base_config(vocab_size=16).validate()
+        with pytest.raises(ValueError, match="vocabulary"):
+            base_config(prompt=[-7, 3, 5]).validate()
         with pytest.raises(ValueError, match="listen"):
             run_node(base_config())
 

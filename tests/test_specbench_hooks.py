@@ -5,6 +5,8 @@
 loaded specagg module binds it.  Every pair must resolve, and a wrapper on
 `scheduler.choose_side` alone must see the side decisions of the simulator
 and of a live node pair, or the traced `scheduler.*` metrics read nothing.
+`specbench/live.py` reads the device's `--profile-csv` by column name, so
+what `write_profile_csv` writes must parse there.
 """
 
 import importlib
@@ -16,25 +18,32 @@ import pytest
 
 from specagg import scheduler
 from specagg.common import Side
+from specagg.profiler import write_profile_csv
 from specagg.retrieval import random_corpus
 from specagg.runtime import NodeConfig, run_loopback_pair
 from specagg.scheduler import CostVector
 from specagg.simulator import AcceptanceTrace, NetModel, simulate
 
-TRACER = Path(__file__).resolve().parents[1] / "specbench" / "tracer.py"
+SPECBENCH = Path(__file__).resolve().parents[1] / "specbench"
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("specbench_tracer", TRACER)
+def load_specbench(name: str, filename: str):
+    spec = importlib.util.spec_from_file_location(name, SPECBENCH / filename)
     module = importlib.util.module_from_spec(spec)
     previous = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # import only: leave no bytecode cache beside the benchmark
+    sys.modules[name] = module  # dataclasses look their module up while it executes
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = previous
+        del sys.modules[name]
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return load_specbench("specbench_tracer", "tracer.py")
 
 
 def test_every_target_resolves(tracer):
@@ -70,3 +79,19 @@ def test_choose_side_sees_every_decision(monkeypatch):
         NodeConfig(role=Side.DEVICE, corpus=corpus, prompt=prompt, max_new_tokens=40, seed=5)
     )
     assert calls  # the aggregator asks on every outcome after its first echo reply
+
+
+def test_live_pred_err_reads_a_written_profile(tracer, monkeypatch, tmp_path):
+    monkeypatch.setitem(sys.modules, "tracer", tracer)  # live.py imports it by that name
+    live = load_specbench("specbench_live", "live.py")
+    corpus = random_corpus(48, 256, seed=11, chunk_size=64)
+    prompt = list(corpus.docs[3].tokens[:24])
+    device, _ = run_loopback_pair(
+        NodeConfig(role=Side.DEVICE, corpus=corpus, prompt=prompt, max_new_tokens=16, seed=5)
+    )
+    path = tmp_path / "device.profile.csv"
+    write_profile_csv(path, device.profile_rows)
+    errors = live._pred_err(path)
+    assert len(errors) == len(device.profile_rows)
+    assert errors[0] == 0.0  # the first decode has no estimate before it
+    assert all(err >= 0.0 for err in errors)

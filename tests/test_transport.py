@@ -323,8 +323,8 @@ class TestLiveStream:
             client.send(TargetMsg(step=i, target=0, accept_l=True, accept_r=True))
         assert inbox.recv(timeout=0.0) is None  # all read, none due yet
         read_by = time.perf_counter()
-        assert len(inbox._heap) == n
-        for due, _, _ in inbox._heap:
+        assert len(inbox._due) == n
+        for due, _ in inbox._due:
             assert sent_at + 0.2 <= due <= read_by + 0.2
         inbox.close()
         client.close()
@@ -340,7 +340,7 @@ class TestLiveStream:
         client.send(Bye())
         client.send(Hello())  # after Bye: the peer may close, so it stays unread
         assert inbox.recv(timeout=0.0) is None
-        assert [type(m) for _, _, m in sorted(inbox._heap)] == [TargetMsg] * 3 + [Bye]
+        assert [type(m) for _, m in inbox._due] == [TargetMsg] * 3 + [Bye]
         assert isinstance(server.recv(), Hello)
         inbox.close()
         client.close()
@@ -371,7 +371,7 @@ class TestLiveStream:
         monkeypatch.setattr(server, "recv", read_and_refill)
         assert inbox.recv(timeout=0.0) is None  # returned, nothing due yet
         assert reads == list(range(n))
-        assert len(inbox._heap) == n
+        assert len(inbox._due) == n
         inbox.close()
         client.close()
         server.close()
