@@ -30,6 +30,8 @@ from .dists import (
 )
 from .rng import AggregationDraws
 
+GAMMA_L = 0.5  # selection weight of the l-stream sample; balances both sides' acceptance
+
 
 class Resampled(enum.Enum):
     NONE = "none"
@@ -82,13 +84,9 @@ def aggregate(
     draft_l: DraftRecord,
     draft_r: DraftRecord,
     draws: AggregationDraws,
-    gamma_l: float = 0.5,
 ) -> AggregationOutcome:
-    """One full aggregation step over a pair of same-step drafts.
-
-    gamma_l is the selection weight of the l-stream sample; 0.5 balances the
-    two sides' acceptance rates and is what the engine runs with.
-    """
+    """One full aggregation step over a pair of same-step drafts; the l-stream
+    sample becomes the target with probability GAMMA_L."""
     if draft_l.step != draft_r.step:
         raise ProtocolError(f"step mismatch: {draft_l.step} != {draft_r.step}")
     log_eta_l, log_eta_r = eta_log_weights(draft_l.h, draft_r.h)
@@ -99,7 +97,7 @@ def aggregate(
     tilde_r = speculative_sample(
         draft_r.token, draft_r.dist, draft_l.dist, eta_l, draws.reject_r, draws.resample_r
     )
-    if draws.select <= gamma_l:
+    if draws.select <= GAMMA_L:
         target = tilde_l
         resampled = Resampled.ADJUSTED_L if tilde_l != draft_l.token else Resampled.NONE
     else:
@@ -148,7 +146,6 @@ def aggregate_batch(
     p_r: LogDist,
     eta_r: float,
     u: np.ndarray,
-    gamma_l: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized twin of aggregate() for Monte-Carlo estimation.
 
@@ -174,7 +171,7 @@ def aggregate_batch(
 
     tilde_l = one_side(x_l, pl, pr, eta_r, u[:, 0], u[:, 1])
     tilde_r = one_side(x_r, pr, pl, eta_l, u[:, 2], u[:, 3])
-    target = np.where(u[:, 4] <= gamma_l, tilde_l, tilde_r)
+    target = np.where(u[:, 4] <= GAMMA_L, tilde_l, tilde_r)
     return target, x_l == target, x_r == target
 
 
@@ -184,10 +181,9 @@ def simulate_aggregations(
     eta_r: float,
     n: int,
     rng: np.random.Generator,
-    gamma_l: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw n full aggregation trials: drafts from each stream, then verify."""
     x_l = _sample_columns(p_l.probs(), rng.random(n))
     x_r = _sample_columns(p_r.probs(), rng.random(n))
     u = rng.random((n, 5))
-    return aggregate_batch(x_l, x_r, p_l, p_r, eta_r, u, gamma_l)
+    return aggregate_batch(x_l, x_r, p_l, p_r, eta_r, u)

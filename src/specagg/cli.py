@@ -1,6 +1,6 @@
 """Command-line entry point: node, simulate.
 
-All outputs are CSV or newline-delimited logs; every subcommand is
+All outputs are CSV files and one summary line; every subcommand is
 deterministic given --seed.
 """
 
@@ -9,31 +9,19 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from pathlib import Path
 
 from .common import Side
-from .retrieval import load_corpus, load_token_lines
+from .retrieval import load_corpus
 from .runtime import METRICS_CSV_HEADER, NodeConfig, run_node
 from .scheduler import CostVector
-from .simulator import DEFAULT_JITTER_PERIOD_S, STRATEGIES, AcceptanceTrace, NetModel, simulate
+from .simulator import STRATEGIES, AcceptanceTrace, NetModel, simulate
 
 
 def _host_port(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, port 0-65535, got {text!r}")
     return host, int(port)
-
-
-def _parse_prompt(args: argparse.Namespace) -> list[int]:
-    if args.prompt_file:
-        lines = load_token_lines(args.prompt_file)
-        if not lines:
-            raise SystemExit(f"no prompts in {args.prompt_file}")
-        return lines[0]
-    if args.prompt:
-        return [int(tok) for tok in args.prompt.split()]
-    raise SystemExit("node needs --prompt or --prompt-file")
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
@@ -44,12 +32,12 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
 
 
 def _node_config(args: argparse.Namespace) -> NodeConfig:
-    corpus = load_corpus(args.corpus, args.chunk_size)
+    corpus = load_corpus(args.corpus)
     static = None if args.static_side == "auto" else Side(args.static_side)
     return NodeConfig(
         role=Side(args.role),
         corpus=corpus,
-        prompt=_parse_prompt(args),
+        prompt=[int(tok) for tok in args.prompt.split()],
         vocab_size=args.vocab,
         docs_k=args.docs,
         half=args.half,
@@ -74,10 +62,6 @@ def _emit_node_outputs(args: argparse.Namespace, result) -> None:
             for e in result.target_log
         ]
         _write_csv(args.csv, METRICS_CSV_HEADER, rows)
-    if args.target_log:
-        Path(args.target_log).write_text(
-            "".join(f"{e.token}\n" for e in result.target_log), encoding="ascii"
-        )
     if args.profile_csv:
         from .profiler import write_profile_csv
 
@@ -111,7 +95,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         base_latency=args.base_latency,
         extra_latency=args.extra_latency,
         jitter_amplitude=args.jitter_amplitude,
-        jitter_period_s=args.jitter_period,
         bandwidth=args.bandwidth,
     )
     result = simulate(trace, costs, net, args.strategy, seed=args.seed)
@@ -141,12 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument("--listen", type=_host_port, metavar="HOST:PORT")
     node.add_argument("--connect", type=_host_port, metavar="HOST:PORT")
     node.add_argument("--corpus", required=True)
-    node.add_argument("--chunk-size", type=int, default=64)
     node.add_argument("--docs", type=int, default=4, help="documents per side")
-    node.add_argument("--half", choices=("auto", "all", "first", "second"), default="auto")
+    node.add_argument("--half", choices=("auto", "all"), default="auto")
     node.add_argument("--vocab", type=int, default=256)
-    node.add_argument("--prompt", help="whitespace-separated token ids")
-    node.add_argument("--prompt-file")
+    node.add_argument("--prompt", required=True, help="whitespace-separated token ids")
     node.add_argument("--max-new-tokens", type=int, default=32)
     node.add_argument("--max-context", type=int, default=256)
     node.add_argument("--seed", type=int, default=0)
@@ -157,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument("--decode-delay-ms", type=float, default=0.0)
     node.add_argument("--link-delay-ms", type=float, default=0.0)
     node.add_argument("--csv", help="metrics CSV path")
-    node.add_argument("--target-log", help="emitted-token log path")
     node.add_argument("--profile-csv", help="profiler snapshot CSV path")
     node.set_defaults(func=cmd_node)
 
@@ -174,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--base-latency", type=float, default=0.0)
     sim.add_argument("--extra-latency", type=float, default=0.0)
     sim.add_argument("--jitter-amplitude", type=float, default=None)
-    sim.add_argument("--jitter-period", type=float, default=DEFAULT_JITTER_PERIOD_S)
     sim.add_argument("--bandwidth", type=float, default=None, help="bytes/ms")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--csv", help="per-token CSV path")

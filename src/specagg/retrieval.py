@@ -21,6 +21,7 @@ from .rng import derive_seed
 
 DEFAULT_CHUNK_SIZE = 64
 NO_OVERLAP_SCORE = -20.0
+N_TOPICS = 8  # topic bands of `random_corpus`
 
 
 @dataclass(frozen=True)
@@ -141,38 +142,26 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             fh.write(" ".join(str(t) for t in doc.tokens) + "\n")
 
 
-def load_token_lines(path: str | Path) -> list[list[int]]:
-    """Prompt files share the corpus format: one token-id sequence per line."""
-    out: list[list[int]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            fields = line.split()
-            if fields:
-                out.append([int(f) for f in fields])
-    return out
-
-
 def random_corpus(
     n_docs: int,
     vocab_size: int,
     seed: int,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    n_topics: int = 8,
 ) -> Corpus:
     """Synthetic corpus with topic structure.
 
-    Each document mixes a topic-specific token band with a shared common
-    band, so retrieval rankings are meaningful and documents from different
-    topics overlap only partially.
+    Each document mixes one of N_TOPICS topic-specific token bands with a
+    shared common band, so retrieval rankings are meaningful and documents
+    from different topics overlap only partially.
     """
     if vocab_size < 16:
         raise ValueError("vocab too small for a structured corpus")
     rng = np.random.default_rng(derive_seed(seed, "corpus"))
     common = np.arange(vocab_size // 8)
-    band = max(4, (vocab_size - common.size) // max(1, n_topics))
+    band = max(4, (vocab_size - common.size) // N_TOPICS)
     docs: list[Document] = []
     for i in range(n_docs):
-        topic = int(rng.integers(n_topics))
+        topic = int(rng.integers(N_TOPICS))
         lo = common.size + topic * band
         topical = np.arange(lo, min(lo + band, vocab_size))
         if topical.size == 0:

@@ -98,7 +98,7 @@ class NodeConfig:
     prompt: list[int]
     vocab_size: int = 256
     docs_k: int = 4
-    half: str = "auto"  # auto | all | first | second
+    half: str = "auto"  # auto: complementary halves of the top-2k; all: both the top-k
     max_new_tokens: int = 32
     max_context: int = 256
     seed: int = 0
@@ -115,11 +115,13 @@ class NodeConfig:
         side = side or self.role
         if self.half == "auto":
             return Half.FIRST if side is Side.DEVICE else Half.SECOND
-        return Half(self.half)
+        return Half.ALL
 
     def validate(self) -> None:
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
+        if self.half not in ("auto", "all"):
+            raise ValueError(f"half must be 'auto' or 'all', got {self.half!r}")
         if self.max_new_tokens < 0:
             raise ValueError("max_new_tokens must be >= 0")
         delays = (self.decode_delay_ms, self.link_delay_ms)
@@ -380,7 +382,7 @@ class _NodeEngine:
             draft_cloud = self.queues[Side.CLOUD][0]
             outcome = aggregate(draft_dev, draft_cloud, aggregation_draws(cfg.seed, step))
             self._apply_outcome(step, outcome.target, outcome.accept_l, outcome.accept_r)
-            switch_to = self._schedule(step)
+            switch_to = self._schedule()
             self._switch(switch_to)
             self.stream.send(
                 TargetMsg(
@@ -394,8 +396,8 @@ class _NodeEngine:
             if step % LINK_SAMPLE_EVERY == 0:
                 self._send_echo()
 
-    def _schedule(self, step: int) -> Side | None:
-        """Pick the aggregation side for step+1; None means stay put."""
+    def _schedule(self) -> Side | None:
+        """Pick the aggregation side for the next step; None means stay put."""
         cfg = self.config
         if cfg.vanilla or cfg.static_side is not None:
             return None
@@ -403,7 +405,7 @@ class _NodeEngine:
             return None  # no link estimate yet
         c_dec = tuple(self.profiler.decode_estimate(s) for s in SIDES)
         one_way = self.rtt_ema / 2.0
-        last = self.log_entries[-1]  # the outcome of `step`, just applied
+        last = self.log_entries[-1]  # the outcome just applied
         accept = (last.accept_l, last.accept_r)
         agg = SIDES.index(self.role)
         chosen = scheduler.choose_side(agg, c_dec, (one_way, one_way), accept)
@@ -481,7 +483,7 @@ def run_node(config: NodeConfig) -> NodeResult:
     config.validate()
     state = build_decoder(config)
     if config.listen is not None:
-        stream, _ = listen_once(*config.listen, vocab_size=config.vocab_size)
+        stream = listen_once(*config.listen, vocab_size=config.vocab_size)
     elif config.peer is not None:
         stream = connect(*config.peer, vocab_size=config.vocab_size)
     else:
@@ -490,28 +492,26 @@ def run_node(config: NodeConfig) -> NodeResult:
     return engine.run(started_at)
 
 
-def free_port(host: str = "127.0.0.1") -> int:
+def free_port() -> int:
     import socket
 
     probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    probe.bind((host, 0))
+    probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
     return port
 
 
-def run_loopback_pair(
-    base: NodeConfig, host: str = "127.0.0.1", port: int | None = None
-) -> tuple[NodeResult, NodeResult]:
-    """Run both roles of one configuration in-process over real sockets.
+def run_loopback_pair(base: NodeConfig) -> tuple[NodeResult, NodeResult]:
+    """Run both roles of one configuration in-process over loopback sockets.
 
     Returns (device result, cloud result); any node failure propagates.
     """
-    port = port or free_port(host)
+    endpoint = ("127.0.0.1", free_port())
     configs = {
-        Side.DEVICE: replace(base, role=Side.DEVICE, peer=(host, port), listen=None),
-        Side.CLOUD: replace(base, role=Side.CLOUD, listen=(host, port), peer=None),
+        Side.DEVICE: replace(base, role=Side.DEVICE, peer=endpoint, listen=None),
+        Side.CLOUD: replace(base, role=Side.CLOUD, listen=endpoint, peer=None),
     }
     results: dict[Side, NodeResult] = {}
     errors: dict[Side, BaseException] = {}

@@ -36,30 +36,27 @@ from . import scheduler, transport
 
 STRATEGIES = ("device", "cloud", "random", "dragon")
 TRACE_CSV_HEADER = ("step", "accept_l", "accept_r")
-DEFAULT_JITTER_PERIOD_S = 20.0 * math.pi
+JITTER_PERIOD_S = 20.0 * math.pi
 
 
 @dataclass(frozen=True)
 class NetModel:
     """Shared network-latency component added on top of per-side constants.
 
-    Instantaneous one-way latency at time t is base + extra + jitter, with
-    jitter_amplitude defaulting to a fifth of the total and the period to
-    20*pi seconds.  bandwidth (bytes/ms) adds a size-proportional term; None
-    means unmetered.
+    Instantaneous one-way latency at time t is base + extra + jitter, a sine
+    of period JITTER_PERIOD_S (20*pi seconds) whose jitter_amplitude defaults
+    to a fifth of the total.  bandwidth (bytes/ms) adds a size-proportional
+    term; None means unmetered.
     """
 
     base_latency: float = 0.0
     extra_latency: float = 0.0
     jitter_amplitude: float | None = None
-    jitter_period_s: float = DEFAULT_JITTER_PERIOD_S
     bandwidth: float | None = None
 
     def __post_init__(self) -> None:
         if self.base_latency < 0 or self.extra_latency < 0:
             raise ValueError("latencies must be non-negative")
-        if self.jitter_period_s <= 0:
-            raise ValueError("jitter period must be positive")
         amp = self.amplitude
         if amp < 0 or amp > self.base_latency + self.extra_latency + 1e-12:
             raise ValueError("jitter amplitude must stay within the latency")
@@ -75,7 +72,7 @@ def instantaneous_latency(net: NetModel, t_seconds: float) -> float:
     """One-way latency (ms) at wall time t (seconds)."""
     if t_seconds < 0:
         raise ValueError("time must be non-negative")
-    phase = 2.0 * math.pi * t_seconds / net.jitter_period_s
+    phase = 2.0 * math.pi * t_seconds / JITTER_PERIOD_S
     return net.base_latency + net.extra_latency + net.amplitude * math.sin(phase)
 
 
@@ -140,22 +137,24 @@ class SimResult:
     switches: int
     side_history: tuple[Side, ...]
 
-    def steady_per_token(self, tail: int = 100) -> float:
-        tail = min(tail, len(self.per_token))
+    def steady_per_token(self) -> float:
+        """Mean latency of the last 100 tokens (all of them in a shorter run)."""
+        tail = min(100, len(self.per_token))
         return float(sum(self.per_token[-tail:]) / tail)
 
 
 @lru_cache(maxsize=1)
-def default_message_bytes(kept_tokens: int = 32, vocab_size: int = 50_272) -> tuple[int, int]:
-    """(draft frame bytes, target frame bytes) from actual wire encodings."""
-    ids = np.arange(kept_tokens, dtype=np.uint32)
-    vals = np.full(kept_tokens, 1.0 / kept_tokens, dtype=np.float16)
+def default_message_bytes() -> tuple[int, int]:
+    """(draft frame bytes, target frame bytes) from actual wire encodings,
+    for a draft keeping 32 tokens of a 50,272-token vocabulary."""
+    ids = np.arange(32, dtype=np.uint32)
+    vals = np.full(32, 1.0 / 32, dtype=np.float16)
     draft = transport.DraftMsg(
         step=0,
         token=0,
         h=0.0,
         decode_ms=1.0,
-        dist=CompressedDist(vocab_size=vocab_size, token_ids=ids, values=vals),
+        dist=CompressedDist(vocab_size=50_272, token_ids=ids, values=vals),
     )
     target = transport.TargetMsg(step=0, target=0, accept_l=True, accept_r=True)
     return len(transport.encode_frame(draft)), len(transport.encode_frame(target))
@@ -254,15 +253,14 @@ def speedup_curve(
     alpha_grid: list[float],
     tokens: int = 10_000,
     seed: int = 0,
-    net: NetModel | None = None,
 ) -> list[SpeedupPoint]:
     """Empirical vs closed-form speedup over all-reject synchronization.
 
-    Aggregation stays on the device side; the replayed traces accept remote
-    drafts with rate alpha_r and always reject local ones, matching the
-    closed form's independence from the local rate.
+    Aggregation stays on the device side over a quiet link; the replayed
+    traces accept remote drafts with rate alpha_r and always reject local
+    ones, matching the closed form's independence from the local rate.
     """
-    net = net or NetModel()
+    net = NetModel()
     vanilla_trace = AcceptanceTrace.constant(tokens, False, False)
     out: list[SpeedupPoint] = []
     for costs in cost_grid:

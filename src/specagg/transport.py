@@ -1,23 +1,25 @@
 """Length-prefixed binary protocol between the two peers.
 
-Frame = 6-byte header (type u8, codec u8, body_len u32 LE) + body.  All
-multi-byte integers are little-endian; probabilities travel as IEEE binary16.
-The codec byte is always 0 (`Codec.NONE`, the body as is); any other value
-is rejected.
+Frame = 5-byte header (type u8, body_len u32 LE) + body.  All multi-byte
+integers are little-endian; probabilities travel as IEEE binary16.  A float
+field that is not finite, or a negative decode time, is rejected: one such
+value would stay in a running estimate for the rest of the run.
 
 A live stream knows the run's vocabulary, so it rejects a header that
 announces a body larger than the biggest legal frame (a draft keeping every
-token) before reading it.  It also rejects a draft over another vocabulary
-or one whose token is not among its kept ids, so a draft that reaches the
-aggregator can be looked up by binary search.  Socket reads and writes on
-both roles time out after FRAME_TIMEOUT_S, and both roles give up on
-reaching the peer after CONNECT_TIMEOUT_S.
+token) before reading it.  It also rejects an outcome whose target lies
+outside the vocabulary, and a draft over another vocabulary or one whose
+token is not among its kept ids, so a draft that reaches the aggregator can
+be looked up by binary search.  Socket reads and writes on both roles time
+out after FRAME_TIMEOUT_S, and both roles give up on reaching the peer after
+CONNECT_TIMEOUT_S.
 """
 
 from __future__ import annotations
 
 import enum
 import fcntl
+import math
 import selectors
 import socket
 import struct
@@ -31,7 +33,7 @@ import numpy as np
 from .common import Side
 from .dists import CompressedDist
 
-HEADER = struct.Struct("<BBI")
+HEADER = struct.Struct("<BI")
 _DRAFT_FIXED = struct.Struct("<IIdf")
 _DIST_HEAD = struct.Struct("<II")
 _TARGET = struct.Struct("<IIBBB")
@@ -50,10 +52,6 @@ class MsgType(enum.IntEnum):
     BYE = 6
 
 
-class Codec(enum.IntEnum):
-    NONE = 0
-
-
 class ProbeKind(enum.IntEnum):
     ECHO_REQUEST = 0
     ECHO_REPLY = 1
@@ -70,10 +68,6 @@ class TruncatedFrameError(TransportError):
 
 class FrameLengthError(TransportError):
     """Body length does not match the encoded payload."""
-
-
-class UnknownCodecError(TransportError):
-    pass
 
 
 class UnknownMessageTypeError(TransportError):
@@ -188,6 +182,8 @@ def _decode_body(msg_type: int, body: bytes) -> Message:
         if len(body) < _DRAFT_FIXED.size:
             raise FrameLengthError("draft body truncated")
         step, token, h, decode_ms = _DRAFT_FIXED.unpack_from(body, 0)
+        if not (math.isfinite(h) and math.isfinite(decode_ms) and decode_ms >= 0.0):
+            raise MalformedMessageError(f"draft h={h} decode_ms={decode_ms} out of range")
         dist, end = _decode_dist(body, _DRAFT_FIXED.size)
         if end != len(body):
             raise FrameLengthError(f"{len(body) - end} trailing bytes in draft")
@@ -211,6 +207,8 @@ def _decode_body(msg_type: int, body: bytes) -> Message:
         if len(body) != _PROBE.size:
             raise FrameLengthError(f"probe body must be {_PROBE.size} bytes")
         kind, seq, t_send = _PROBE.unpack(body)
+        if not math.isfinite(t_send):
+            raise MalformedMessageError(f"probe t_send={t_send} is not finite")
         try:
             probe_kind = ProbeKind(kind)
         except ValueError:
@@ -224,26 +222,20 @@ def max_body_len(vocab_size: int) -> int:
     return _DRAFT_FIXED.size + _DIST_HEAD.size + vocab_size * _PAIR_DTYPE.itemsize
 
 
-def _open_body(msg_type: int, codec: int, body: bytes) -> Message:
-    if codec != Codec.NONE:
-        raise UnknownCodecError(f"unknown codec {codec}")
-    return _decode_body(msg_type, body)
-
-
 def encode_frame(msg: Message) -> bytes:
     msg_type, body = _encode_body(msg)
-    return HEADER.pack(int(msg_type), Codec.NONE, len(body)) + body
+    return HEADER.pack(int(msg_type), len(body)) + body
 
 
 def decode_frame(data: bytes) -> tuple[Message, int]:
     """Parse one frame from the front of data; returns (message, bytes used)."""
     if len(data) < HEADER.size:
         raise TruncatedFrameError(f"{len(data)} bytes is shorter than a header")
-    msg_type, codec, body_len = HEADER.unpack_from(data, 0)
+    msg_type, body_len = HEADER.unpack_from(data, 0)
     end = HEADER.size + body_len
     if len(data) < end:
         raise TruncatedFrameError(f"body needs {body_len} bytes, have {len(data) - HEADER.size}")
-    return _open_body(msg_type, codec, data[HEADER.size : end]), end
+    return _decode_body(msg_type, data[HEADER.size : end]), end
 
 
 class MessageStream:
@@ -294,14 +286,18 @@ class MessageStream:
 
     def recv(self) -> Message:
         header = self._recv_exact(HEADER.size, mid_frame=False)
-        msg_type, codec, body_len = HEADER.unpack(header)
+        msg_type, body_len = HEADER.unpack(header)
         if body_len > self._max_body:
             raise FrameLengthError(f"body of {body_len} bytes exceeds the {self._max_body} limit")
         body = self._recv_exact(body_len, mid_frame=True) if body_len else b""
         self.bytes_received += HEADER.size + body_len
-        msg = _open_body(msg_type, codec, body)
+        msg = _decode_body(msg_type, body)
         if isinstance(msg, DraftMsg):
             self._check_draft(msg)
+        elif isinstance(msg, TargetMsg) and msg.target >= self._vocab_size:
+            raise MalformedMessageError(
+                f"target {msg.target} outside stream vocabulary {self._vocab_size}"
+            )
         return msg
 
     def _check_draft(self, msg: DraftMsg) -> None:
@@ -385,12 +381,11 @@ class DelayedInbox:
         self._selector.close()
 
 
-def listen_once(host: str, port: int, *, vocab_size: int) -> tuple[MessageStream, int]:
-    """Accept exactly one peer; returns the stream and the bound port."""
+def listen_once(host: str, port: int, *, vocab_size: int) -> MessageStream:
+    """Accept exactly one peer."""
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     server.bind((host, port))
-    bound_port = server.getsockname()[1]
     server.listen(1)
     server.settimeout(CONNECT_TIMEOUT_S)
     try:
@@ -398,7 +393,7 @@ def listen_once(host: str, port: int, *, vocab_size: int) -> tuple[MessageStream
     finally:
         server.close()
     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return MessageStream(conn, vocab_size=vocab_size), bound_port
+    return MessageStream(conn, vocab_size=vocab_size)
 
 
 def connect(host: str, port: int, *, vocab_size: int) -> MessageStream:

@@ -19,14 +19,14 @@ from . import transport
 
 
 def random_distribution_pair(
-    rng: np.random.Generator, max_vocab: int = 8, sparse_every: int = 3, case: int = 0
+    rng: np.random.Generator, max_vocab: int = 8, case: int = 0
 ) -> tuple[LogDist, LogDist, float]:
-    """One (p_l, p_r, eta_r) triple; every few cases carry explicit zeros."""
+    """One (p_l, p_r, eta_r) triple; every third case carries explicit zeros."""
     size = int(rng.integers(2, max_vocab + 1))
     vocab = Vocab(size)
     pl = rng.dirichlet(np.full(size, 0.8))
     pr = rng.dirichlet(np.full(size, 0.8))
-    if case % sparse_every == 0 and size >= 4:
+    if case % 3 == 0 and size >= 4:
         pl[int(rng.integers(size))] = 0.0
         pl /= pl.sum()
         pr[int(rng.integers(size))] = 0.0
@@ -63,7 +63,8 @@ def strategy_means(
     return {s: float(np.mean(v)) for s, v in totals.items()}
 
 
-FUZZ_VOCAB = 60_000  # vocabulary of every random draft, as a stream of this size requires
+# vocabulary of every random draft and target, as a stream of this size requires
+FUZZ_VOCAB = 60_000
 
 
 def random_message(rng: np.random.Generator) -> transport.Message:
@@ -90,7 +91,7 @@ def random_message(rng: np.random.Generator) -> transport.Message:
         switch = [None, Side.DEVICE, Side.CLOUD][int(rng.integers(3))]
         return transport.TargetMsg(
             step=int(rng.integers(0, 2**31)),
-            target=int(rng.integers(0, 2**31)),
+            target=int(rng.integers(0, FUZZ_VOCAB)),
             accept_l=bool(rng.integers(2)),
             accept_r=bool(rng.integers(2)),
             switch_to=switch,

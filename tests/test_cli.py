@@ -69,25 +69,28 @@ class TestNodeCommand:
             "--corpus", corpus_file, "--prompt", prompt_text,
             "--max-new-tokens", "20", "--seed", "5", "--docs", "4",
         ]
-        cloud_log = tmp_path / "cloud.txt"
+        cloud_csv = tmp_path / "cloud.csv"
         cloud = subprocess.Popen(
             [sys.executable, "-m", "specagg.cli", "node", "--role", "cloud",
-             "--listen", f"127.0.0.1:{port}", "--target-log", str(cloud_log), *common],
+             "--listen", f"127.0.0.1:{port}", "--csv", str(cloud_csv), *common],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
-        device_log = tmp_path / "device.txt"
         device_csv = tmp_path / "device.csv"
         device = run_cli(
             "node", "--role", "device", "--connect", f"127.0.0.1:{port}",
-            "--target-log", str(device_log), "--csv", str(device_csv), *common,
+            "--csv", str(device_csv), *common,
         )
         cloud_out, cloud_err = cloud.communicate(timeout=60)
         assert device.returncode == 0, device.stderr
         assert cloud.returncode == 0, cloud_err
-        assert device_log.read_text() == cloud_log.read_text()
-        rows = list(csv.reader(device_csv.read_text().splitlines()))
-        assert rows[0] == ["step", "token", "accept_l", "accept_r", "latency_ms"]
-        assert len(rows) == 21
+        rows = {
+            role: list(csv.reader(path.read_text().splitlines()))
+            for role, path in (("device", device_csv), ("cloud", cloud_csv))
+        }
+        assert rows["device"][0] == ["step", "token", "accept_l", "accept_r", "latency_ms"]
+        assert len(rows["device"]) == 21
+        # latency is each node's own; every other column is the shared log
+        assert [r[:4] for r in rows["device"]] == [r[:4] for r in rows["cloud"]]
 
     def test_rejects_both_listen_and_connect(self, corpus_file, prompt_text):
         result = run_cli(
@@ -96,6 +99,19 @@ class TestNodeCommand:
             "--listen", "127.0.0.1:1", "--connect", "127.0.0.1:2",
         )
         assert result.returncode != 0
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        [("--connect", "127.0.0.1:99999"), ("--listen", "127.0.0.1:70000")],
+        ids=["connect-99999", "listen-70000"],
+    )
+    def test_port_out_of_range_is_a_usage_error(self, corpus_file, prompt_text, endpoint):
+        result = run_cli(
+            "node", "--role", "device", "--corpus", corpus_file, "--prompt", prompt_text,
+            *endpoint, timeout=30,
+        )
+        assert result.returncode == 2
+        assert "65535" in result.stderr and "Traceback" not in result.stderr
 
     def test_bad_corpus_path(self, prompt_text):
         result = run_cli(

@@ -8,7 +8,6 @@ from specagg.retrieval import (
     Half,
     NO_OVERLAP_SCORE,
     load_corpus,
-    load_token_lines,
     random_corpus,
     relevance_score,
     retrieve,
@@ -98,11 +97,6 @@ class TestCorpusIo:
         path.write_text("\n\n")
         with pytest.raises(ValueError, match="no documents"):
             load_corpus(path)
-
-    def test_token_lines(self, tmp_path):
-        path = tmp_path / "prompts.txt"
-        path.write_text("1 2 3\n\n4 5\n")
-        assert load_token_lines(path) == [[1, 2, 3], [4, 5]]
 
     def test_random_corpus_deterministic(self):
         a = random_corpus(8, 64, seed=9)

@@ -305,9 +305,9 @@ class TestEventLoop:
         decisions = defaultdict(list)
         original = _NodeEngine._schedule
 
-        def recording_schedule(engine, step):
+        def recording_schedule(engine):
             decisions[engine.role].append(engine.rtt_ema is None)
-            return original(engine, step)
+            return original(engine)
 
         monkeypatch.setattr(_NodeEngine, "_schedule", recording_schedule)
         run_loopback_pair(base_config(max_new_tokens=40, decode_delay_ms=2.0, link_delay_ms=5.0))
@@ -545,9 +545,10 @@ class TestEventLoop:
         original_schedule = _NodeEngine._schedule
         original_choose = scheduler.choose_side
 
-        def recording_schedule(engine, step):
-            scheduling[threading.current_thread().name] = step
-            return original_schedule(engine, step)
+        def recording_schedule(engine):
+            # the step just logged is the one decided on
+            scheduling[threading.current_thread().name] = len(engine.log_entries) - 1
+            return original_schedule(engine)
 
         def recording_choose(agg, c_dec, c_trans, accept):
             node = threading.current_thread().name
@@ -667,6 +668,9 @@ class TestFailFast:
             base_config(prompt=[-7, 3, 5]).validate()
         with pytest.raises(ValueError, match="listen"):
             run_node(base_config())
+        for bad in ("first", "second", ""):
+            with pytest.raises(ValueError, match="half"):
+                base_config(half=bad).validate()
 
     def test_config_rejects_negative_length_and_delays(self):
         with pytest.raises(ValueError, match="max_new_tokens"):

@@ -6,6 +6,7 @@ import pytest
 from specagg.common import Side
 from specagg.scheduler import CostVector, theoretical_speedup
 from specagg.simulator import (
+    JITTER_PERIOD_S,
     AcceptanceTrace,
     NetModel,
     default_message_bytes,
@@ -24,13 +25,14 @@ class TestNetModel:
             assert instantaneous_latency(net, t) == pytest.approx(5.0)
 
     def test_peak_at_quarter_period(self):
-        net = NetModel(base_latency=10.0, jitter_amplitude=2.0, jitter_period_s=8.0)
-        assert instantaneous_latency(net, 2.0) == pytest.approx(12.0)
+        net = NetModel(base_latency=10.0, jitter_amplitude=2.0)
+        assert instantaneous_latency(net, JITTER_PERIOD_S / 4.0) == pytest.approx(12.0)
+        assert instantaneous_latency(net, JITTER_PERIOD_S * 0.75) == pytest.approx(8.0)
 
     def test_default_period_and_amplitude(self):
         net = NetModel(base_latency=50.0, extra_latency=50.0)
         # period 20*pi seconds: peak at 5*pi
-        assert net.jitter_period_s == pytest.approx(20.0 * math.pi)
+        assert JITTER_PERIOD_S == pytest.approx(20.0 * math.pi)
         assert instantaneous_latency(net, 5.0 * math.pi) == pytest.approx(100.0 + 20.0)
 
     def test_amplitude_bounded_by_latency(self):
@@ -104,7 +106,7 @@ class TestSteadyStates:
     def test_pure_patterns(self, name, costs, flags, expected):
         run = simulate(AcceptanceTrace.constant(1000, *flags), costs, QUIET, "device")
         assert run.per_token[-1] == pytest.approx(expected, abs=1e-6)
-        assert run.steady_per_token(100) == pytest.approx(expected, abs=1e-6)
+        assert run.steady_per_token() == pytest.approx(expected, abs=1e-6)
 
     def test_all_reject_is_synchronized_formula(self):
         rng = np.random.default_rng(0)

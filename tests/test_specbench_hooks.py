@@ -6,7 +6,8 @@ loaded specagg module binds it.  Every pair must resolve, and a wrapper on
 `scheduler.choose_side` alone must see the side decisions of the simulator
 and of a live node pair, or the traced `scheduler.*` metrics read nothing.
 `specbench/live.py` reads the device's `--profile-csv` by column name, so
-what `write_profile_csv` writes must parse there.
+what `write_profile_csv` writes must parse there, and every `specagg node`
+command line it starts must parse and validate.
 """
 
 import importlib
@@ -16,10 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from specagg import scheduler
+from specagg import cli, scheduler
 from specagg.common import Side
 from specagg.profiler import write_profile_csv
-from specagg.retrieval import random_corpus
+from specagg.retrieval import random_corpus, save_corpus
 from specagg.runtime import NodeConfig, run_loopback_pair
 from specagg.scheduler import CostVector
 from specagg.simulator import AcceptanceTrace, NetModel, simulate
@@ -95,3 +96,33 @@ def test_live_pred_err_reads_a_written_profile(tracer, monkeypatch, tmp_path):
     assert len(errors) == len(device.profile_rows)
     assert errors[0] == 0.0  # the first decode has no estimate before it
     assert all(err >= 0.0 for err in errors)
+
+
+def test_every_workload_node_command_parses(tracer, monkeypatch, tmp_path):
+    monkeypatch.setitem(sys.modules, "tracer", tracer)  # live.py imports it by that name
+    live = load_specbench("specbench_live", "live.py")
+    corpus_path = tmp_path / "corpus.txt"
+    corpus = random_corpus(48, 256, seed=11, chunk_size=64)
+    save_corpus(corpus, corpus_path)
+    prompt = list(corpus.docs[3].tokens[:24])
+    spawned = []
+
+    def capture(argv, out, env):
+        spawned.append(argv)
+        raise RuntimeError("captured")  # run_pair reports it; no process starts
+
+    monkeypatch.setattr(live, "_spawn", capture)
+    for name, spec in live.WORKLOADS.items():
+        spawned.clear()
+        gen = live.run_pair(
+            spec, corpus_path, live.GenInput(prompt, 5, []), tmp_path, 0, {}, traced=False
+        )
+        assert gen.error == "captured", name
+        [argv] = spawned  # the cloud's; the device starts once the cloud listens
+        cloud = argv[argv.index("node") + 1 :]  # a traced run passes the same arguments
+        swap = {"cloud": "device", "--listen": "--connect"}
+        device = [swap.get(arg, arg) for arg in cloud]
+        device += ["--profile-csv", str(tmp_path / "device.profile.csv")]
+        for node_args in (cloud, device):
+            args = cli.build_parser().parse_args(["node", *node_args])
+            cli._node_config(args).validate()

@@ -1,3 +1,4 @@
+import math
 import socket
 import threading
 import time
@@ -11,7 +12,6 @@ from specagg import transport
 from specagg.transport import (
     HEADER,
     Bye,
-    Codec,
     ConnectionClosedError,
     DelayedInbox,
     DraftMsg,
@@ -24,7 +24,6 @@ from specagg.transport import (
     ProbeMsg,
     TargetMsg,
     TruncatedFrameError,
-    UnknownCodecError,
     UnknownMessageTypeError,
     connect,
     decode_frame,
@@ -44,13 +43,13 @@ def raw_draft(token, ids, values, vocab_size=100):
         + transport._DIST_HEAD.pack(len(ids), vocab_size)
         + pairs.tobytes()
     )
-    return HEADER.pack(MsgType.DRAFT, Codec.NONE, len(body)) + body
+    return HEADER.pack(MsgType.DRAFT, len(body)) + body
 
 
 def raw_target(accept_l=1, switch=0):
     """A target frame packed by hand, so its accept byte or switch code can be out of range."""
     body = transport._TARGET.pack(4, 9, accept_l, 0, switch)
-    return HEADER.pack(MsgType.TARGET, Codec.NONE, len(body)) + body
+    return HEADER.pack(MsgType.TARGET, len(body)) + body
 
 
 def two_pair_dist():
@@ -61,10 +60,14 @@ def two_pair_dist():
     )
 
 
+def draft_frame(h=0.0, decode_ms=3.0):
+    return encode_frame(DraftMsg(step=1, token=17, h=h, decode_ms=decode_ms, dist=two_pair_dist()))
+
+
 class TestFrameLayout:
-    def test_hello_is_six_bytes(self):
+    def test_hello_is_five_bytes(self):
         frame = encode_frame(Hello())
-        assert frame == bytes([5, 0, 0, 0, 0, 0])
+        assert frame == bytes([5, 0, 0, 0, 0])
 
     def test_bye_type_byte(self):
         assert encode_frame(Bye())[0] == MsgType.BYE
@@ -73,13 +76,12 @@ class TestFrameLayout:
         msg = DraftMsg(step=1, token=17, h=-2.5, decode_ms=3.0, dist=two_pair_dist())
         frame = encode_frame(msg)
         # step + token + h + decode_ms, then count + vocab + 2 * (id + f16)
-        assert len(frame) - 6 == (4 + 4 + 8 + 4) + (4 + 4 + 2 * (4 + 2)) == 40
+        assert len(frame) - 5 == (4 + 4 + 8 + 4) + (4 + 4 + 2 * (4 + 2)) == 40
 
     def test_header_fields_little_endian(self):
         frame = encode_frame(TargetMsg(step=0, target=0, accept_l=True, accept_r=False))
         assert frame[0] == MsgType.TARGET
-        assert frame[1] == Codec.NONE
-        assert int.from_bytes(frame[2:6], "little") == len(frame) - 6
+        assert int.from_bytes(frame[1:5], "little") == len(frame) - 5
 
 
 class TestRoundTrips:
@@ -136,35 +138,38 @@ class TestErrors:
     def test_unknown_type(self):
         for msg_type in (99, 3):  # 3 was the retired switch message
             with pytest.raises(UnknownMessageTypeError):
-                decode_frame(bytes([msg_type, 0, 0, 0, 0, 0]))
-
-    def test_unknown_codec(self):
-        for codec in (7, 1):  # 1 was the retired zlib codec
-            with pytest.raises(UnknownCodecError):
-                decode_frame(bytes([5, codec, 0, 0, 0, 0]))
+                decode_frame(bytes([msg_type, 0, 0, 0, 0]))
 
     def test_length_mismatch(self):
         good = encode_frame(TargetMsg(step=1, target=2, accept_l=True, accept_r=True))
-        padded = good[:2] + (len(good) - 6 + 1).to_bytes(4, "little") + good[6:] + b"\x00"
+        padded = good[:1] + (len(good) - 5 + 1).to_bytes(4, "little") + good[5:] + b"\x00"
         with pytest.raises(FrameLengthError):
             decode_frame(padded)
 
     def test_nonempty_hello_rejected(self):
         with pytest.raises(FrameLengthError):
-            decode_frame(bytes([5, 0, 1, 0, 0, 0, 42]))
+            decode_frame(bytes([5, 1, 0, 0, 0, 42]))
 
     @pytest.mark.parametrize(
         "frame",
         [
-            encode_frame(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=1, t_send=0.0))[:6]
+            encode_frame(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=1, t_send=0.0))[:5]
             + bytes([9])
-            + encode_frame(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=1, t_send=0.0))[7:],
+            + encode_frame(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=1, t_send=0.0))[6:],
             raw_draft(3, [17, 3], [0.5, 0.25]),  # ids not increasing
             raw_draft(3, [3, 17], [0.5, 0.0]),  # zero mass
             raw_draft(3, [3, 170], [0.5, 0.25]),  # id outside the vocabulary
             raw_draft(3, [], []),  # empty
             raw_target(accept_l=2),
             raw_target(switch=3),
+            # one non-finite or negative float would stay in a running estimate
+            draft_frame(h=math.nan),
+            draft_frame(h=-math.inf),
+            draft_frame(decode_ms=math.nan),
+            draft_frame(decode_ms=math.inf),
+            draft_frame(decode_ms=-1.0),
+            encode_frame(ProbeMsg(ProbeKind.ECHO_REPLY, seq=1, t_send=math.nan)),
+            encode_frame(ProbeMsg(ProbeKind.ECHO_REPLY, seq=1, t_send=math.inf)),
         ],
         ids=[
             "probe-kind-9",
@@ -174,6 +179,13 @@ class TestErrors:
             "empty",
             "accept-byte-2",
             "switch-code-3",
+            "h-nan",
+            "h-minus-inf",
+            "decode-ms-nan",
+            "decode-ms-inf",
+            "decode-ms-negative",
+            "t-send-nan",
+            "t-send-inf",
         ],
     )
     def test_malformed_body(self, frame):
@@ -216,7 +228,7 @@ def loopback_pair(vocab_size=FUZZ_VOCAB, host="127.0.0.1"):
     probe.close()
 
     def serve_on_port():
-        result["server"], _ = listen_once("127.0.0.1", port, vocab_size=vocab_size)
+        result["server"] = listen_once("127.0.0.1", port, vocab_size=vocab_size)
 
     thread = threading.Thread(target=serve_on_port, daemon=True)
     thread.start()
@@ -414,7 +426,7 @@ class TestFrameBounds:
     def test_oversized_header_rejected_before_reading(self):
         client, server = loopback_pair(self.VOCAB)
         # announces 1 GB but sends nothing more: the check must not wait for it
-        client._sock.sendall(HEADER.pack(MsgType.DRAFT, Codec.NONE, 1 << 30))
+        client._sock.sendall(HEADER.pack(MsgType.DRAFT, 1 << 30))
         with pytest.raises(FrameLengthError, match="exceeds"):
             server.recv()
         assert server.bytes_received == 0
@@ -426,8 +438,10 @@ class TestFrameBounds:
         [
             raw_draft(3, [3, 7], [0.5, 0.5], vocab_size=VOCAB + 1),  # another vocabulary
             raw_draft(5, [3, 7], [0.5, 0.5], vocab_size=VOCAB),  # token not kept
+            encode_frame(TargetMsg(step=0, target=VOCAB, accept_l=True, accept_r=False)),
+            encode_frame(TargetMsg(step=0, target=4_000_000_000, accept_l=False, accept_r=False)),
         ],
-        ids=["vocab-mismatch", "token-not-kept"],
+        ids=["vocab-mismatch", "token-not-kept", "target-at-vocab", "target-4e9"],
     )
     def test_draft_disagreeing_with_stream(self, frame):
         client, server = loopback_pair(self.VOCAB)
