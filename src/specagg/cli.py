@@ -13,8 +13,7 @@ import sys
 from .common import Side
 from .retrieval import load_corpus
 from .runtime import METRICS_CSV_HEADER, NodeConfig, run_node
-from .scheduler import CostVector
-from .simulator import STRATEGIES, AcceptanceTrace, NetModel, simulate
+from .scheduler import STRATEGIES, CostVector
 
 
 def _host_port(text: str) -> tuple[str, int]:
@@ -82,6 +81,8 @@ def cmd_node(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulator import AcceptanceTrace, NetModel, simulate  # a node never loads it
+
     if (args.trace is None) == (args.bernoulli is None):
         raise SystemExit("simulate needs exactly one of --trace / --bernoulli")
     if args.trace:

@@ -48,16 +48,16 @@ class Document:
     def successor_counts(self) -> dict[int, np.ndarray]:
         """Per token with a successor, its successor counts over distinct_ids.
 
-        A token that only ends the document has no row.  Rows are read-only.
+        A token that only ends the document has no row.  Rows are views of
+        one read-only block, counted in one pass over the bigrams.
         """
-        column = {t: i for i, t in enumerate(self.distinct_ids.tolist())}
-        rows: dict[int, list[int]] = {}
-        for a, b in zip(self.tokens, self.tokens[1:]):
-            rows.setdefault(a, [0] * len(column))[column[b]] += 1
-        out = {a: np.array(counts, dtype=np.int64) for a, counts in rows.items()}
-        for row in out.values():
-            row.setflags(write=False)
-        return out
+        ids, n = self.distinct_ids, self.distinct_ids.size
+        cols = ids.searchsorted(np.array(self.tokens, dtype=np.int64))
+        counts = np.bincount(cols[:-1] * n + cols[1:], minlength=n * n).reshape(n, n)
+        preds = np.flatnonzero(np.bincount(cols[:-1], minlength=n))
+        block = counts[preds].astype(np.int64, copy=False)
+        block.setflags(write=False)
+        return dict(zip(ids[preds].tolist(), block))
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,12 @@ trip; a hand-off travels with the outcome, so a peer whose draft was just
 rejected takes the role and redrafts without a second link crossing.  Each
 node sends one echo probe right after its Hello, so both hold an RTT
 estimate before their first decision; its reply waits behind both nodes'
-cold first decode, so the first in-run reply replaces it.
+cold first decode, so the first in-run reply replaces it.  A reply is timed
+from the node's own send time of that seq, never from the echoed stamp.
 
-Failures are surfaced, never papered over: any step desync raises with a
-state dump.
+Failures are surfaced, never papered over: any step desync, a frame before
+the peer's Hello or a second one, and a peer draft past `max_new_tokens`
+raise with a state dump.
 """
 
 from __future__ import annotations
@@ -219,6 +221,7 @@ class _NodeEngine:
         self.profiler = SideProfiler()
         self.rtt_ema: float | None = None
         self._probe_seq = 0
+        self._echo_sent: dict[int, float] = {}  # perf_counter send time per outstanding seq
         self._handshake_probe: int | None = None  # seq of the echo sent with Hello
         self._rtt_blend = False  # False until a reply after the handshake's
         self._last_outcome_at: float | None = None
@@ -319,10 +322,11 @@ class _NodeEngine:
 
     def _queue_draft(self, side: Side, msg: DraftMsg) -> None:
         """Queue a draft, own or the peer's, from its wire message."""
-        if msg.step != self.next_expected[side]:
-            raise self._protocol_error(
-                f"{side} draft step {msg.step} != expected {self.next_expected[side]}"
-            )
+        expected = self.next_expected[side]
+        if msg.step != expected or msg.step >= self.config.max_new_tokens:
+            raise self._protocol_error(f"{side} draft step {msg.step}, expected {expected}")
+        if msg.decode_ms > PEER_TIMEOUT_S * 1000.0:
+            raise self._protocol_error(f"{side} draft decode_ms {msg.decode_ms} past the timeout")
         self.queues[side].append(_draft_record(msg))
         self.next_expected[side] = msg.step + 1
         self.profiler.observe_decode(side, msg.decode_ms)
@@ -331,6 +335,9 @@ class _NodeEngine:
 
     def _handle(self, msg) -> None:
         peer = self.role.other
+        if isinstance(msg, Hello) is self.peer_hello:
+            what = "second Hello" if self.peer_hello else f"{type(msg).__name__} before Hello"
+            raise self._protocol_error(f"peer sent {what}")
         if isinstance(msg, DraftMsg):
             # until the peer acks its rollback, its drafts are stale speculation
             if self.awaiting_ack is None:
@@ -351,7 +358,11 @@ class _NodeEngine:
         if msg.kind is ProbeKind.ECHO_REQUEST:
             self.stream.send(ProbeMsg(ProbeKind.ECHO_REPLY, seq=msg.seq, t_send=msg.t_send))
         elif msg.kind is ProbeKind.ECHO_REPLY:
-            rtt_ms = (time.perf_counter() - msg.t_send) * 1000.0
+            # timed from this node's own send time, never from the echoed t_send
+            sent = self._echo_sent.pop(msg.seq, None)
+            if sent is None:
+                raise self._protocol_error(f"echo reply for seq {msg.seq} not outstanding")
+            rtt_ms = (time.perf_counter() - sent) * 1000.0
             # the handshake's reply waited behind both cold first decodes, so
             # the reply after it replaces its estimate instead of blending in
             blend = self._rtt_blend
@@ -413,9 +424,8 @@ class _NodeEngine:
 
     def _send_echo(self) -> int:
         self._probe_seq += 1
-        self.stream.send(
-            ProbeMsg(ProbeKind.ECHO_REQUEST, seq=self._probe_seq, t_send=time.perf_counter())
-        )
+        now = self._echo_sent[self._probe_seq] = time.perf_counter()
+        self.stream.send(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=self._probe_seq, t_send=now))
         return self._probe_seq
 
     # ------------------------------------------------------------------ run
@@ -426,10 +436,14 @@ class _NodeEngine:
         try:
             self.stream.send(Hello())
             self._handshake_probe = self._send_echo()  # an RTT estimate before any hand-off
-            self._loop_until(lambda: self.peer_hello, "handshake")
+            # one loop from Hello to the last token: frames that came in with
+            # the peer's Hello are handled before the next own decode
+            self._loop_until(
+                lambda: self.peer_hello and len(self.log_entries) >= cfg.max_new_tokens,
+                "generation",
+            )
             if cfg.max_new_tokens == 0:
                 self.ttft_ms = (time.perf_counter() - started_at) * 1000.0
-            self._loop_until(lambda: len(self.log_entries) >= cfg.max_new_tokens, "generation")
             self.stream.send(Bye())
             # the log is final and Bye is our last frame: skip whatever precedes the peer's Bye
             deadline = time.perf_counter() + PEER_TIMEOUT_S
@@ -472,6 +486,7 @@ class _NodeEngine:
         """Next due message; None once the own decode falls due, or at once if not `wait`."""
         now = time.perf_counter()
         if now >= deadline:
+            label = label if self.peer_hello else "handshake"
             raise RuntimeError(f"timed out waiting for {label} [{self._dump()}]")
         wake_at = deadline if self.decode_due is None else min(deadline, self.decode_due)
         return self.inbox.recv(timeout=wake_at - now if wait else 0.0)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+STRATEGIES = ("device", "cloud", "random", "dragon")  # the simulator's placements
+
 
 @dataclass(frozen=True)
 class CostVector:

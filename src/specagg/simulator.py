@@ -30,11 +30,10 @@ import numpy as np
 
 from .common import SIDES, Side
 from .dists import CompressedDist
-from .scheduler import CostVector, theoretical_speedup
+from .scheduler import STRATEGIES, CostVector, theoretical_speedup
 from .rng import derive_seed
 from . import scheduler, transport
 
-STRATEGIES = ("device", "cloud", "random", "dragon")
 TRACE_CSV_HEADER = ("step", "accept_l", "accept_r")
 JITTER_PERIOD_S = 20.0 * math.pi
 

@@ -120,3 +120,17 @@ class TestNodeCommand:
         )
         assert result.returncode != 0
         assert "error" in result.stderr.lower() or "No such file" in result.stderr
+
+
+class TestImports:
+    def test_cli_leaves_the_simulator_unloaded(self):
+        # every node process starts through specagg.cli; only `simulate`
+        # needs the simulator, so a node must not pay for importing it
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, specagg.cli; print('specagg.simulator' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"

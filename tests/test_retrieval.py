@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from specagg.retrieval import (
@@ -108,3 +109,39 @@ class TestCorpusIo:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Corpus(docs=(doc(0, 1), doc(0, 2)))
+
+
+def row_by_row_counts(d):
+    """The successor table built one bigram at a time, as plain lists."""
+    column = {t: i for i, t in enumerate(sorted(set(d.tokens)))}
+    rows = {}
+    for a, b in zip(d.tokens, d.tokens[1:]):
+        rows.setdefault(a, [0] * len(column))[column[b]] += 1
+    return rows
+
+
+class TestSuccessorCounts:
+    def assert_matches_row_by_row(self, d):
+        table = d.successor_counts
+        expected = row_by_row_counts(d)
+        assert sorted(table) == sorted(expected)
+        for token, row in table.items():
+            assert row.dtype == np.int64
+            assert not row.flags.writeable
+            assert row.tolist() == expected[token]
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            (7,),  # one token: no bigram, no row
+            (3, 5, 3, 9),  # 9 ends the document and occurs nowhere else: no row
+            (1, 2, 1, 2, 1, 2, 2, 2),  # repeated bigrams, a self-loop
+            (40000, 3, 40000, 3, 17),  # ids far apart
+        ],
+    )
+    def test_matches_row_by_row_build(self, tokens):
+        self.assert_matches_row_by_row(doc(0, *tokens))
+
+    def test_random_corpus_documents_at_large_vocab(self):
+        for d in random_corpus(24, 32768, seed=5).docs:
+            self.assert_matches_row_by_row(d)

@@ -31,6 +31,7 @@ from specagg.runtime import (
     sequential_reference,
 )
 from specagg.transport import (
+    Bye,
     DelayedInbox,
     DraftMsg,
     Hello,
@@ -58,6 +59,28 @@ def base_config(**overrides) -> NodeConfig:
 
 def keys(entries):
     return [e.key() for e in entries]
+
+
+def first_draft(cfg, side, decode_ms=1.0, step=0):
+    """The step-0 draft of `side` as it goes on the wire, under another step number."""
+    state = build_decoder(cfg, side)
+    rerank(state)
+    rec = decode_step(state, decode_uniform(cfg.seed, 0))
+    dist = topp_encode(rec.dist, cfg.top_p, force_token=rec.token)
+    return DraftMsg(step=step, token=rec.token, h=rec.h, decode_ms=decode_ms, dist=dist)
+
+
+def engine_pair(cfg):
+    """A node's engine and a raw stream standing in for its peer."""
+    near, far = socket.socketpair()
+    engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
+    return engine, MessageStream(far, vocab_size=256)
+
+
+def close_pair(engine, peer):
+    engine.inbox.close()
+    engine.stream.close()
+    peer.close()
 
 
 class TestSequentialReference:
@@ -229,8 +252,9 @@ class TestSparsePath:
 
 
     def test_fresh_node_pair_loads_neither_numpy_random_nor_idna(self, tmp_path):
-        # numpy.random and the idna codec are lazy imports of several ms: a
-        # node that touched either would pay for it inside its first token
+        # numpy.random, numpy.ma (np.unique's first call) and the idna codec
+        # are lazy imports of several ms: a node that touched any of them
+        # would pay for it inside its first token
         corpus_path = tmp_path / "corpus.txt"
         save_corpus(random_corpus(48, 32768, seed=11, chunk_size=64), corpus_path)
         script = (
@@ -243,7 +267,7 @@ class TestSparsePath:
             "    prompt=list(corpus.docs[3].tokens[:24]), max_new_tokens=24, seed=5)\n"
             "device, cloud = run_loopback_pair(cfg)\n"
             "assert len(device.target_log) == len(cloud.target_log) == 24\n"
-            "print(sorted({'numpy.random', 'encodings.idna'} & set(sys.modules)))\n"
+            "print(sorted({'numpy.random', 'numpy.ma', 'encodings.idna'} & set(sys.modules)))\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script, str(corpus_path)],
@@ -368,6 +392,7 @@ class TestEventLoop:
         near, far = socket.socketpair()
         engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
         peer = MessageStream(far, vocab_size=256)
+        peer.send(Hello())
 
         events = []
         own_decode, own_aggregate = runtime.decode_step, runtime.aggregate
@@ -391,6 +416,41 @@ class TestEventLoop:
         engine.stream.close()
         peer.close()
 
+    def test_draft_arriving_with_hello_aggregated_before_second_decode(self, monkeypatch):
+        # the peer's Hello and its step-0 draft arrive together while this
+        # node's second own decode is due: one loop runs from Hello to the
+        # last token, so the draft is handled and step 0 aggregated first
+        cfg = base_config(role=Side.DEVICE, max_new_tokens=12)
+        engine, peer = engine_pair(cfg)
+        peer_draft = first_draft(cfg, Side.CLOUD)
+
+        class Stop(Exception):
+            pass
+
+        events = []
+        own_decode, own_aggregate = runtime.decode_step, runtime.aggregate
+
+        def recording_decode(state, u):
+            rec = own_decode(state, u)
+            events.append(f"own-decode {rec.step}")
+            if rec.step == 0:
+                peer.send(Hello())
+                peer.send(peer_draft)
+            if rec.step == 1:
+                raise Stop
+            return rec
+
+        def recording_aggregate(dev, cloud, draws):
+            events.append(f"aggregate {dev.step}")
+            return own_aggregate(dev, cloud, draws)
+
+        monkeypatch.setattr(runtime, "decode_step", recording_decode)
+        monkeypatch.setattr(runtime, "aggregate", recording_aggregate)
+        with pytest.raises(Stop):
+            engine.run(time.perf_counter())
+        assert events == ["own-decode 0", "aggregate 0", "own-decode 1"]
+        peer.close()
+
     def test_own_draft_queued_as_the_peer_reads_it(self):
         # a node queues its own draft from the message it sends, so its
         # record and the one the peer builds from the frame are the same
@@ -401,6 +461,8 @@ class TestEventLoop:
         peer = _NodeEngine(
             peer_cfg, build_decoder(peer_cfg), MessageStream(far, vocab_size=256)
         )
+        engine.stream.send(Hello())
+        peer._handle(peer.inbox.recv(timeout=5.0))
         for _ in range(3):
             engine._start_decode()
             assert engine._finish_decode()
@@ -471,22 +533,27 @@ class TestEventLoop:
         near, far = socket.socketpair()
         cfg = base_config()
         engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
+        clock = [10.0]
+        monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
         for _ in range(earlier_probes):
             engine._send_echo()
         engine._handshake_probe = engine._send_echo()
-        monkeypatch.setattr(runtime.time, "perf_counter", lambda: 10.0)
 
-        def reply(seq, rtt_ms):
-            t_send = 10.0 - rtt_ms / 1000.0
-            engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=seq, t_send=t_send))
+        def reply(rtt_ms):
+            # a fresh echo, replied to rtt_ms after it was sent
+            seq = engine._send_echo()
+            clock[0] += rtt_ms / 1000.0
+            engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=seq, t_send=0.0))
             return engine.rtt_ema
 
         hs = engine._handshake_probe
         assert hs == earlier_probes + 1
-        assert reply(hs, 18.0) == pytest.approx(18.0)
-        assert reply(hs + 1, 1.0) == pytest.approx(1.0)
-        assert reply(hs + 2, 2.0) == pytest.approx(0.8 * 1.0 + 0.2 * 2.0)
-        assert reply(hs + 3, 2.0) == pytest.approx(0.8 * 1.2 + 0.2 * 2.0)
+        clock[0] += 0.018
+        engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=hs, t_send=0.0))
+        assert engine.rtt_ema == pytest.approx(18.0)
+        assert reply(1.0) == pytest.approx(1.0)
+        assert reply(2.0) == pytest.approx(0.8 * 1.0 + 0.2 * 2.0)
+        assert reply(2.0) == pytest.approx(0.8 * 1.2 + 0.2 * 2.0)
         monkeypatch.undo()
         engine.inbox.close()
         engine.stream.close()
@@ -658,6 +725,70 @@ class TestFailFast:
             with pytest.raises(RuntimeError, match="timed out waiting for handshake"):
                 run_node(cfg)
             assert time.perf_counter() - started < 2.0
+
+    def test_hello_comes_first_and_once(self):
+        cfg = base_config()
+        engine, peer = engine_pair(cfg)
+        early = (
+            first_draft(cfg, Side.CLOUD),
+            ProbeMsg(ProbeKind.ECHO_REQUEST, seq=1, t_send=0.0),
+            Bye(),
+        )
+        for msg in early:
+            with pytest.raises(ProtocolError, match=f"{type(msg).__name__} before Hello"):
+                engine._handle(msg)
+        engine._handle(Hello())
+        with pytest.raises(ProtocolError, match="second Hello"):
+            engine._handle(Hello())
+        close_pair(engine, peer)
+
+    def test_echo_reply_timed_from_own_send_time(self, monkeypatch):
+        # the echoed t_send is the peer's to forge; 1e300 once drove the
+        # estimate to about -1e303 ms
+        engine, peer = engine_pair(base_config())
+        clock = [50.0]
+        monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
+        seq = engine._send_echo()
+        clock[0] += 0.004
+        engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=seq, t_send=1e300))
+        assert engine.rtt_ema == pytest.approx(4.0)
+        monkeypatch.undo()
+        close_pair(engine, peer)
+
+    def test_echo_reply_not_outstanding_is_protocol_error(self):
+        engine, peer = engine_pair(base_config())
+        with pytest.raises(ProtocolError, match="seq 7 not outstanding"):
+            engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=7, t_send=0.0))
+        seq = engine._send_echo()
+        engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=seq, t_send=0.0))
+        with pytest.raises(ProtocolError, match="not outstanding"):  # replayed
+            engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=seq, t_send=0.0))
+        assert engine.rtt_ema is not None
+        close_pair(engine, peer)
+
+    def test_peer_draft_past_max_new_tokens_is_protocol_error(self):
+        # a peer's own gate never drafts step max_new_tokens; one that does
+        # could otherwise fill this node's queue without bound
+        cfg = base_config(max_new_tokens=12)
+        engine, peer = engine_pair(cfg)
+        engine.next_expected[Side.CLOUD] = 12
+        with pytest.raises(ProtocolError, match="draft step 12") as err:
+            engine._queue_draft(Side.CLOUD, first_draft(cfg, Side.CLOUD, step=12))
+        assert "queues(head,len)" in str(err.value)  # the state dump
+        assert not engine.queues[Side.CLOUD]
+        close_pair(engine, peer)
+
+    def test_peer_decode_ms_past_timeout_is_protocol_error(self):
+        cfg = base_config()
+        engine, peer = engine_pair(cfg)
+        for decode_ms in (runtime.PEER_TIMEOUT_S * 1000.0 + 1.0, 1e300):
+            with pytest.raises(ProtocolError, match="decode_ms") as err:
+                engine._queue_draft(Side.CLOUD, first_draft(cfg, Side.CLOUD, decode_ms))
+            assert "queues(head,len)" in str(err.value)
+        assert engine.profiler.decode_estimate(Side.CLOUD) is None
+        engine._queue_draft(Side.CLOUD, first_draft(cfg, Side.CLOUD, 25.0))
+        assert engine.profiler.decode_estimate(Side.CLOUD) == pytest.approx(25.0)
+        close_pair(engine, peer)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_context"):
