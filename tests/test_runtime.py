@@ -62,7 +62,7 @@ def keys(entries):
 
 
 def first_draft(cfg, side, decode_ms=1.0, step=0):
-    """The step-0 draft of `side` as it goes on the wire, under another step number."""
+    """`side`'s step-0 draft as it goes on the wire, numbered `step`."""
     state = build_decoder(cfg, side)
     rerank(state)
     rec = decode_step(state, decode_uniform(cfg.seed, 0))
