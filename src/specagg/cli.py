@@ -67,7 +67,7 @@ def _emit_node_outputs(args: argparse.Namespace, result) -> None:
         write_profile_csv(args.profile_csv, result.profile_rows)
     print(
         f"role={result.role} tokens={len(result.target_log)} "
-        f"ttft_ms={result.ttft_ms:.1f} mean_latency_ms={result.mean_latency_ms():.2f} "
+        f"ttft_ms={result.ttft_ms:.3f} mean_latency_ms={result.mean_latency_ms():.2f} "
         f"switches={result.switches}"
     )
 

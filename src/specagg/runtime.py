@@ -29,18 +29,19 @@ starts another own decode, so no outcome waits behind speculative drafts.
 Side choice: right after it logs an outcome, the aggregator asks
 `scheduler.choose_side` about the next step, with that outcome's accept
 flags, each side's running decode level from the profiler (both drafts of
-the step were observed when queued) and half the echo-probe RTT as each
+the step were observed when queued) and half the RTT estimate as each
 side's one-way cost.  The rule charges a hand-off the outcome's one-way
 trip; a hand-off travels with the outcome, so a peer whose draft was just
-rejected takes the role and redrafts without a second link crossing.  Each
-node sends one echo probe right after its Hello, so both hold an RTT
-estimate before their first decision; its reply waits behind both nodes'
-cold first decode, so the first in-run reply replaces it.  A reply is timed
-from the node's own send time of that seq, never from the echoed stamp.
+rejected takes the role and redrafts without a second link crossing.  A
+node times the RTT from its own send times: first by the one echo it sends
+right after its Hello, then by each rollback ack, from the send of the
+outcome that rejected the peer.  The echo's reply waits behind both nodes'
+cold first decode, so the first ack replaces it and later ones blend in.
 
 Failures are surfaced, never papered over: any step desync, a frame before
-the peer's Hello or a second one, and a peer draft past `max_new_tokens`
-raise with a state dump.
+the peer's Hello or a second one, a second echo request, an unsolicited
+echo reply or rollback ack, and a peer draft past `max_new_tokens` raise
+with a state dump.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ from .transport import (
 
 METRICS_CSV_HEADER = ("step", "token", "accept_l", "accept_r", "latency_ms")
 PEER_TIMEOUT_S = 120.0  # bound on the handshake, on generation and on the peer's shutdown
-# The aggregator sends an echo probe on every this-many-th outcome, step 0
-# included; the RTT estimate moves slowly.
-LINK_SAMPLE_EVERY = 16
 
 
 @dataclass(frozen=True)
@@ -211,6 +209,7 @@ class _NodeEngine:
         self.queues: dict[Side, deque[DraftRecord]] = {s: deque() for s in Side}
         self.next_expected: dict[Side, int] = {s: 0 for s in Side}
         self.awaiting_ack: int | None = None  # step of the peer rollback not yet acked
+        self._rejected_at = 0.0  # perf_counter send time of the outcome awaiting_ack awaits
         self.log_entries: list[TargetEntry] = []
         self.current_agg: Side = config.static_side or Side.DEVICE
         # perf_counter time the own decode under way falls due; None: none is
@@ -219,11 +218,10 @@ class _NodeEngine:
         self.switches = 0
 
         self.profiler = SideProfiler()
-        self.rtt_ema: float | None = None
-        self._probe_seq = 0
-        self._echo_sent: dict[int, float] = {}  # perf_counter send time per outstanding seq
-        self._handshake_probe: int | None = None  # seq of the echo sent with Hello
-        self._rtt_blend = False  # False until a reply after the handshake's
+        self.rtt_ema: float | None = None  # ms; the handshake echo's, then the acks'
+        self._rtt_acked = False  # an ack has timed the link
+        self._echo_sent_at: float | None = None  # perf_counter send time, until the reply
+        self._peer_echoed = False  # the peer's one echo request is answered
         self._last_outcome_at: float | None = None
         self.ttft_ms: float = 0.0
         self._started_at = 0.0
@@ -239,7 +237,8 @@ class _NodeEngine:
         return (
             f"role={self.role} agg={self.current_agg} log={len(self.log_entries)} "
             f"queues(head,len)={heads} next_expected={self.next_expected} "
-            f"awaiting_ack={self.awaiting_ack} decoding={self.decode_due is not None}"
+            f"awaiting_ack={self.awaiting_ack} rtt={self.rtt_ema} "
+            f"decoding={self.decode_due is not None}"
         )
 
     def _protocol_error(self, why: str) -> ProtocolError:
@@ -274,7 +273,7 @@ class _NodeEngine:
                     prefix = self.config.prompt + [e.token for e in self.log_entries[:-1]]
                     rollback(self.state, prefix, target)
                     if remote:
-                        self.stream.send(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step, t_send=now))
+                        self.stream.send(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step))
                 elif not remote:
                     # I aggregate: the remote side's fresh drafts race its ack
                     self.awaiting_ack = step
@@ -355,23 +354,29 @@ class _NodeEngine:
             raise self._protocol_error("peer said bye before the log was final")
 
     def _on_probe(self, msg: ProbeMsg) -> None:
+        """Answer the peer's one echo; time this node's echo and every
+        rollback ack from its own send time."""
         if msg.kind is ProbeKind.ECHO_REQUEST:
-            self.stream.send(ProbeMsg(ProbeKind.ECHO_REPLY, seq=msg.seq, t_send=msg.t_send))
+            if self._peer_echoed:
+                raise self._protocol_error("peer sent a second echo request")
+            self._peer_echoed = True
+            self.stream.send(ProbeMsg(ProbeKind.ECHO_REPLY, seq=msg.seq))
         elif msg.kind is ProbeKind.ECHO_REPLY:
-            # timed from this node's own send time, never from the echoed t_send
-            sent = self._echo_sent.pop(msg.seq, None)
-            if sent is None:
-                raise self._protocol_error(f"echo reply for seq {msg.seq} not outstanding")
-            rtt_ms = (time.perf_counter() - sent) * 1000.0
-            # the handshake's reply waited behind both cold first decodes, so
-            # the reply after it replaces its estimate instead of blending in
-            blend = self._rtt_blend
-            self.rtt_ema = 0.8 * self.rtt_ema + 0.2 * rtt_ms if blend else rtt_ms
-            self._rtt_blend = msg.seq != self._handshake_probe
+            # FIFO both ways: the reply comes before the ack of any outcome
+            # this node sent, all of which followed its echo request
+            if self._echo_sent_at is None:
+                raise self._protocol_error("echo reply with no echo outstanding")
+            self.rtt_ema = (time.perf_counter() - self._echo_sent_at) * 1000.0
+            self._echo_sent_at = None
         elif msg.kind is ProbeKind.ROLLBACK_ACK:
             if self.awaiting_ack != msg.seq:
                 raise self._protocol_error(f"unexpected rollback ack for step {msg.seq}")
             self.awaiting_ack = None
+            rtt_ms = (time.perf_counter() - self._rejected_at) * 1000.0
+            # the echo's reply waited behind both cold first decodes, so the
+            # first ack replaces its sample; later acks blend in
+            self.rtt_ema = 0.8 * self.rtt_ema + 0.2 * rtt_ms if self._rtt_acked else rtt_ms
+            self._rtt_acked = True
 
     # ----------------------------------------------------------- aggregation
 
@@ -395,6 +400,8 @@ class _NodeEngine:
             self._apply_outcome(step, outcome.target, outcome.accept_l, outcome.accept_r)
             switch_to = self._schedule()
             self._switch(switch_to)
+            if self.awaiting_ack == step:
+                self._rejected_at = time.perf_counter()  # the peer acks as it applies it
             self.stream.send(
                 TargetMsg(
                     step=step,
@@ -404,8 +411,6 @@ class _NodeEngine:
                     switch_to=switch_to,
                 )
             )
-            if step % LINK_SAMPLE_EVERY == 0:
-                self._send_echo()
 
     def _schedule(self) -> Side | None:
         """Pick the aggregation side for the next step; None means stay put."""
@@ -422,12 +427,6 @@ class _NodeEngine:
         chosen = scheduler.choose_side(agg, c_dec, (one_way, one_way), accept)
         return SIDES[chosen] if chosen != agg else None
 
-    def _send_echo(self) -> int:
-        self._probe_seq += 1
-        now = self._echo_sent[self._probe_seq] = time.perf_counter()
-        self.stream.send(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=self._probe_seq, t_send=now))
-        return self._probe_seq
-
     # ------------------------------------------------------------------ run
 
     def run(self, started_at: float) -> NodeResult:
@@ -435,7 +434,8 @@ class _NodeEngine:
         cfg = self.config
         try:
             self.stream.send(Hello())
-            self._handshake_probe = self._send_echo()  # an RTT estimate before any hand-off
+            self._echo_sent_at = time.perf_counter()  # an RTT estimate before the first ack
+            self.stream.send(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=0))
             # one loop from Hello to the last token: frames that came in with
             # the peer's Hello are handled before the next own decode
             self._loop_until(

@@ -37,7 +37,7 @@ HEADER = struct.Struct("<BI")
 _DRAFT_FIXED = struct.Struct("<IIdf")
 _DIST_HEAD = struct.Struct("<II")
 _TARGET = struct.Struct("<IIBBB")
-_PROBE = struct.Struct("<BId")
+_PROBE = struct.Struct("<BI")
 _PAIR_DTYPE = np.dtype([("id", "<u4"), ("value", "<f2")])
 
 FRAME_TIMEOUT_S = 30.0  # a peer that stalls this long inside a read or write is gone
@@ -114,9 +114,10 @@ class TargetMsg:
 
 @dataclass(frozen=True)
 class ProbeMsg:
+    """An echo request or reply, or a rollback ack; seq is an ack's step."""
+
     kind: ProbeKind
     seq: int
-    t_send: float
 
 
 Message = Hello | Bye | DraftMsg | TargetMsg | ProbeMsg
@@ -169,7 +170,7 @@ def _encode_body(msg: Message) -> tuple[MsgType, bytes]:
             _SIDE_CODE[msg.switch_to],
         )
     if isinstance(msg, ProbeMsg):
-        return MsgType.PROBE, _PROBE.pack(int(msg.kind), msg.seq, msg.t_send)
+        return MsgType.PROBE, _PROBE.pack(int(msg.kind), msg.seq)
     raise TypeError(f"not a wire message: {type(msg).__name__}")
 
 
@@ -206,14 +207,12 @@ def _decode_body(msg_type: int, body: bytes) -> Message:
     if msg_type == MsgType.PROBE:
         if len(body) != _PROBE.size:
             raise FrameLengthError(f"probe body must be {_PROBE.size} bytes")
-        kind, seq, t_send = _PROBE.unpack(body)
-        if not math.isfinite(t_send):
-            raise MalformedMessageError(f"probe t_send={t_send} is not finite")
+        kind, seq = _PROBE.unpack(body)
         try:
             probe_kind = ProbeKind(kind)
         except ValueError:
             raise MalformedMessageError(f"unknown probe kind {kind}") from None
-        return ProbeMsg(kind=probe_kind, seq=seq, t_send=t_send)
+        return ProbeMsg(kind=probe_kind, seq=seq)
     raise UnknownMessageTypeError(f"unknown message type {msg_type}")
 
 

@@ -99,5 +99,4 @@ def random_message(rng: np.random.Generator) -> transport.Message:
     return transport.ProbeMsg(
         kind=transport.ProbeKind(int(rng.integers(3))),
         seq=int(rng.integers(0, 2**31)),
-        t_send=float(rng.random() * 1e6),
     )

@@ -309,19 +309,45 @@ class TestEventLoop:
         stream.close()
         far.close()
 
-    def test_echo_probe_every_sixteenth_outcome(self, monkeypatch):
-        sent = []
+    def test_one_echo_request_per_node(self, monkeypatch):
+        # each node probes the link once, right after its Hello; the
+        # rollback acks time it from then on
+        sent = defaultdict(list)
         original = MessageStream.send
 
         def recording_send(stream, msg):
-            sent.append(msg)
+            sent[threading.current_thread().name].append(msg)
             return original(stream, msg)
 
         monkeypatch.setattr(MessageStream, "send", recording_send)
-        run_loopback_pair(base_config(max_new_tokens=40, static_side=Side.DEVICE))
-        echoes = [m for m in sent if isinstance(m, ProbeMsg) and m.kind is ProbeKind.ECHO_REQUEST]
-        # one per node right after Hello, then after the outcomes of steps 0, 16 and 32
-        assert len(echoes) == 5
+        run_loopback_pair(base_config(max_new_tokens=40))
+        assert sorted(sent) == ["node-cloud", "node-device"]
+        for msgs in sent.values():
+            echoes = [
+                i for i, m in enumerate(msgs)
+                if isinstance(m, ProbeMsg) and m.kind is ProbeKind.ECHO_REQUEST
+            ]
+            assert isinstance(msgs[0], Hello) and echoes == [1]
+
+    def test_ack_samples_bounded_by_the_link(self, monkeypatch):
+        # every ack answers an outcome that crossed the 5 ms link and comes
+        # back across it, so no ack sample can be shorter than 10 ms
+        samples = defaultdict(list)
+        original = _NodeEngine._on_probe
+
+        def recording_on_probe(engine, msg):
+            if msg.kind is ProbeKind.ROLLBACK_ACK:
+                rtt_ms = (time.perf_counter() - engine._rejected_at) * 1000.0
+                samples[engine.role].append(rtt_ms)
+            return original(engine, msg)
+
+        monkeypatch.setattr(_NodeEngine, "_on_probe", recording_on_probe)
+        cfg = base_config(max_new_tokens=40, decode_delay_ms=2.0, link_delay_ms=5.0)
+        device, cloud = run_loopback_pair(cfg)
+        reference = keys(sequential_reference(cfg))
+        assert keys(device.target_log) == keys(cloud.target_log) == reference
+        assert samples
+        assert all(rtt_ms >= 10.0 for side in samples for rtt_ms in samples[side])
 
     def test_rtt_estimate_before_first_decision(self, monkeypatch):
         # both nodes probe the link at the handshake, so neither decides a
@@ -353,7 +379,7 @@ class TestEventLoop:
         near, far = socket.socketpair()
         engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
         peer = MessageStream(far, vocab_size=256)
-        frames = [Hello(), *drafts, ProbeMsg(ProbeKind.ECHO_REQUEST, seq=1, t_send=0.0)]
+        frames = [Hello(), *drafts, ProbeMsg(ProbeKind.ECHO_REQUEST, seq=0)]
         for msg in frames:
             peer.send(msg)
 
@@ -513,8 +539,8 @@ class TestEventLoop:
         assert not engine.queues[Side.CLOUD]
         assert engine.next_expected[Side.CLOUD] == s + 1
         with pytest.raises(ProtocolError, match="rollback ack"):
-            deliver(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=s + 1, t_send=0.0))
-        deliver(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=s, t_send=0.0))
+            deliver(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=s + 1))
+        deliver(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=s))
         assert engine.awaiting_ack is None
         prefix = cfg.prompt + [e.token for e in reference[:s]]
         rollback(peer_state, prefix, reference[s].token)
@@ -525,39 +551,47 @@ class TestEventLoop:
         engine.stream.close()
         peer.close()
 
-    @pytest.mark.parametrize("earlier_probes", [0, 3])
-    def test_first_in_run_echo_replaces_handshake_rtt(self, monkeypatch, earlier_probes):
-        # the handshake's reply waits behind both nodes' cold first decode;
-        # the reply after it replaces its estimate, later ones blend in.
-        # The handshake probe is the one run() records, whatever its seq.
-        near, far = socket.socketpair()
-        cfg = base_config()
-        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
+    def test_first_ack_replaces_handshake_rtt(self, monkeypatch):
+        # the handshake echo's reply waits behind both nodes' cold first
+        # decode: it sets the estimate until the first rollback ack replaces
+        # it, and later acks blend in.  Each ack is timed from the send of
+        # the outcome that rejected the peer.
+        cfg = base_config(role=Side.DEVICE, static_side=Side.DEVICE, max_new_tokens=24)
+        reference = sequential_reference(cfg)
+        rejected = [e.step for e in reference if not e.accept_r][:2]
+        assert len(rejected) == 2
+        engine, peer = engine_pair(cfg)
+        peer_state = build_decoder(cfg, Side.CLOUD)
         clock = [10.0]
         monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
-        for _ in range(earlier_probes):
-            engine._send_echo()
-        engine._handshake_probe = engine._send_echo()
-
-        def reply(rtt_ms):
-            # a fresh echo, replied to rtt_ms after it was sent
-            seq = engine._send_echo()
-            clock[0] += rtt_ms / 1000.0
-            engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=seq, t_send=0.0))
-            return engine.rtt_ema
-
-        hs = engine._handshake_probe
-        assert hs == earlier_probes + 1
+        engine._echo_sent_at = clock[0]  # as run() sends its echo
         clock[0] += 0.018
-        engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=hs, t_send=0.0))
+        engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=0))
         assert engine.rtt_ema == pytest.approx(18.0)
-        assert reply(1.0) == pytest.approx(1.0)
-        assert reply(2.0) == pytest.approx(0.8 * 1.0 + 0.2 * 2.0)
-        assert reply(2.0) == pytest.approx(0.8 * 1.2 + 0.2 * 2.0)
+
+        estimates = []
+        for step in range(rejected[-1] + 1):
+            engine._start_decode()
+            assert engine._finish_decode()
+            rerank(peer_state)
+            rec = decode_step(peer_state, decode_uniform(cfg.seed, step))
+            dist = topp_encode(rec.dist, cfg.top_p, force_token=rec.token)
+            engine._queue_draft(
+                Side.CLOUD, DraftMsg(step=step, token=rec.token, h=rec.h, decode_ms=1.0, dist=dist)
+            )
+            clock[0] += 0.003  # the outcome goes out 3 ms after the drafts
+            engine._aggregate_ready()
+            if step in rejected:
+                assert engine.awaiting_ack == step
+                clock[0] += 0.005 * (len(estimates) + 1)  # the ack, 5 ms then 10 ms later
+                engine._on_probe(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step))
+                estimates.append(engine.rtt_ema)
+                prefix = cfg.prompt + [e.token for e in reference[:step]]
+                rollback(peer_state, prefix, reference[step].token)
         monkeypatch.undo()
-        engine.inbox.close()
-        engine.stream.close()
-        far.close()
+        assert keys(engine.log_entries) == keys(reference[: rejected[-1] + 1])
+        assert estimates == pytest.approx([5.0, 0.8 * 5.0 + 0.2 * 10.0])
+        close_pair(engine, peer)
 
     def test_decode_ms_excludes_time_past_due(self, monkeypatch):
         # a decode that fell due while the loop handled messages is charged
@@ -731,7 +765,7 @@ class TestFailFast:
         engine, peer = engine_pair(cfg)
         early = (
             first_draft(cfg, Side.CLOUD),
-            ProbeMsg(ProbeKind.ECHO_REQUEST, seq=1, t_send=0.0),
+            ProbeMsg(ProbeKind.ECHO_REQUEST, seq=0),
             Bye(),
         )
         for msg in early:
@@ -742,28 +776,28 @@ class TestFailFast:
             engine._handle(Hello())
         close_pair(engine, peer)
 
-    def test_echo_reply_timed_from_own_send_time(self, monkeypatch):
-        # the echoed t_send is the peer's to forge; 1e300 once drove the
-        # estimate to about -1e303 ms
-        engine, peer = engine_pair(base_config())
-        clock = [50.0]
-        monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
-        seq = engine._send_echo()
-        clock[0] += 0.004
-        engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=seq, t_send=1e300))
-        assert engine.rtt_ema == pytest.approx(4.0)
-        monkeypatch.undo()
-        close_pair(engine, peer)
-
     def test_echo_reply_not_outstanding_is_protocol_error(self):
+        # before this node's echo is sent, and once its one reply is in
         engine, peer = engine_pair(base_config())
-        with pytest.raises(ProtocolError, match="seq 7 not outstanding"):
-            engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=7, t_send=0.0))
-        seq = engine._send_echo()
-        engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=seq, t_send=0.0))
-        with pytest.raises(ProtocolError, match="not outstanding"):  # replayed
-            engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=seq, t_send=0.0))
+        with pytest.raises(ProtocolError, match="no echo outstanding"):
+            engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=0))
+        for msg in (Hello(), *[ProbeMsg(ProbeKind.ECHO_REPLY, seq=0)] * 2):
+            peer.send(msg)
+        with pytest.raises(ProtocolError, match="no echo outstanding") as err:
+            engine.run(time.perf_counter())  # sends Hello and its echo, then loops
+        assert f"rtt={engine.rtt_ema}" in str(err.value)  # the first reply was timed
         assert engine.rtt_ema is not None
+        peer.close()
+
+    def test_second_echo_request_is_protocol_error(self):
+        engine, peer = engine_pair(base_config())
+        engine._handle(Hello())
+        engine._handle(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=0))
+        assert peer.recv() == ProbeMsg(ProbeKind.ECHO_REPLY, seq=0)
+        with pytest.raises(ProtocolError, match="second echo request") as err:
+            engine._handle(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=1))
+        assert "queues(head,len)" in str(err.value)  # the state dump
+        assert "rtt=None" in str(err.value)
         close_pair(engine, peer)
 
     def test_peer_draft_past_max_new_tokens_is_protocol_error(self):

@@ -10,6 +10,7 @@ what `write_profile_csv` writes must parse there, and every `specagg node`
 command line it starts must parse and validate.
 """
 
+import argparse
 import importlib
 import importlib.util
 import sys
@@ -21,7 +22,7 @@ from specagg import cli, scheduler
 from specagg.common import Side
 from specagg.profiler import write_profile_csv
 from specagg.retrieval import random_corpus, save_corpus
-from specagg.runtime import NodeConfig, run_loopback_pair
+from specagg.runtime import NodeConfig, NodeResult, run_loopback_pair
 from specagg.scheduler import CostVector
 from specagg.simulator import AcceptanceTrace, NetModel, simulate
 
@@ -96,6 +97,18 @@ def test_live_pred_err_reads_a_written_profile(tracer, monkeypatch, tmp_path):
     assert len(errors) == len(device.profile_rows)
     assert errors[0] == 0.0  # the first decode has no estimate before it
     assert all(err >= 0.0 for err in errors)
+
+
+def test_summary_line_carries_ttft_to_the_microsecond(tracer, monkeypatch, capsys):
+    # live.py reads TTFT from the device's summary line; at a 3 ms median a
+    # 0.1 ms grain would move the metric in 3% steps
+    monkeypatch.setitem(sys.modules, "tracer", tracer)  # live.py imports it by that name
+    live = load_specbench("specbench_live", "live.py")
+    result = NodeResult(role=Side.DEVICE, target_log=[], ttft_ms=3.4567, switches=7)
+    cli._emit_node_outputs(argparse.Namespace(csv=None, profile_csv=None), result)
+    summary = live._SUMMARY.search(capsys.readouterr().out)
+    assert float(summary.group(1)) == 3.457
+    assert int(summary.group(2)) == 7
 
 
 def test_every_workload_node_command_parses(tracer, monkeypatch, tmp_path):
