@@ -551,15 +551,19 @@ class TestEventLoop:
         engine.stream.close()
         peer.close()
 
-    def test_first_ack_replaces_handshake_rtt(self, monkeypatch):
+    @pytest.mark.parametrize("acks", [0, 3])
+    def test_first_in_run_echo_replaces_handshake_rtt(self, monkeypatch, acks):
         # the handshake echo's reply waits behind both nodes' cold first
-        # decode: it sets the estimate until the first rollback ack replaces
-        # it, and later acks blend in.  Each ack is timed from the send of
-        # the outcome that rejected the peer.
+        # decode: it sets the estimate until the first in-run sample, the
+        # rollback ack that echoes a rejecting outcome, replaces it; later
+        # acks blend in.  Each ack is timed from the send of the outcome
+        # that rejected the peer.  With no ack the handshake sample stands.
         cfg = base_config(role=Side.DEVICE, static_side=Side.DEVICE, max_new_tokens=24)
         reference = sequential_reference(cfg)
-        rejected = [e.step for e in reference if not e.accept_r][:2]
-        assert len(rejected) == 2
+        rejected = [e.step for e in reference if not e.accept_r][:acks]
+        assert len(rejected) == acks
+        last_step = rejected[-1] if rejected else 0
+        assert reference[0].accept_r  # with no ack, step 0 rejects nothing
         engine, peer = engine_pair(cfg)
         peer_state = build_decoder(cfg, Side.CLOUD)
         clock = [10.0]
@@ -570,7 +574,7 @@ class TestEventLoop:
         assert engine.rtt_ema == pytest.approx(18.0)
 
         estimates = []
-        for step in range(rejected[-1] + 1):
+        for step in range(last_step + 1):
             engine._start_decode()
             assert engine._finish_decode()
             rerank(peer_state)
@@ -583,14 +587,16 @@ class TestEventLoop:
             engine._aggregate_ready()
             if step in rejected:
                 assert engine.awaiting_ack == step
-                clock[0] += 0.005 * (len(estimates) + 1)  # the ack, 5 ms then 10 ms later
+                clock[0] += 0.005 * (len(estimates) + 1)  # the ack, 5, 10, then 15 ms later
                 engine._on_probe(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step))
                 estimates.append(engine.rtt_ema)
                 prefix = cfg.prompt + [e.token for e in reference[:step]]
                 rollback(peer_state, prefix, reference[step].token)
         monkeypatch.undo()
-        assert keys(engine.log_entries) == keys(reference[: rejected[-1] + 1])
-        assert estimates == pytest.approx([5.0, 0.8 * 5.0 + 0.2 * 10.0])
+        assert keys(engine.log_entries) == keys(reference[: last_step + 1])
+        # 5.0, then 0.8 * 5.0 + 0.2 * 10.0 = 6.0, then 0.8 * 6.0 + 0.2 * 15.0 = 7.8
+        assert estimates == pytest.approx([5.0, 6.0, 7.8][:acks])
+        assert engine.rtt_ema == pytest.approx(estimates[-1] if estimates else 18.0)
         close_pair(engine, peer)
 
     def test_decode_ms_excludes_time_past_due(self, monkeypatch):
