@@ -33,15 +33,16 @@ the step were observed when queued) and half the RTT estimate as each
 side's one-way cost.  The rule charges a hand-off the outcome's one-way
 trip; a hand-off travels with the outcome, so a peer whose draft was just
 rejected takes the role and redrafts without a second link crossing.  A
-node times the RTT from its own send times: first by the one echo it sends
-right after its Hello, then by each rollback ack, from the send of the
-outcome that rejected the peer.  The echo's reply waits behind both nodes'
-cold first decode, so the first ack replaces it and later ones blend in.
+node times the RTT from its own send times: its Hello is answered by an
+echo reply, and each outcome it aggregates that rejects the peer by a
+rollback ack.  Both directions are FIFO, so every reply must match the
+head of one queue of awaited replies.  The Hello's reply waits behind both
+nodes' cold first decode, so the first ack replaces it; later ones blend in.
 
 Failures are surfaced, never papered over: any step desync, a frame before
-the peer's Hello or a second one, a second echo request, an unsolicited
-echo reply or rollback ack, and a peer draft past `max_new_tokens` raise
-with a state dump.
+the peer's Hello or a second one, a reply that is not the head of the
+awaited ones, and a peer draft past `max_new_tokens` raise with a state
+dump.
 """
 
 from __future__ import annotations
@@ -208,8 +209,8 @@ class _NodeEngine:
 
         self.queues: dict[Side, deque[DraftRecord]] = {s: deque() for s in Side}
         self.next_expected: dict[Side, int] = {s: 0 for s in Side}
-        self.awaiting_ack: int | None = None  # step of the peer rollback not yet acked
-        self._rejected_at = 0.0  # perf_counter send time of the outcome awaiting_ack awaits
+        # the replies the peer owes, oldest first, each with its request's perf_counter send time
+        self.awaited: deque[tuple[ProbeMsg, float]] = deque()
         self.log_entries: list[TargetEntry] = []
         self.current_agg: Side = config.static_side or Side.DEVICE
         # perf_counter time the own decode under way falls due; None: none is
@@ -218,10 +219,8 @@ class _NodeEngine:
         self.switches = 0
 
         self.profiler = SideProfiler()
-        self.rtt_ema: float | None = None  # ms; the handshake echo's, then the acks'
+        self.rtt_ema: float | None = None  # ms; the Hello's reply's, then the acks'
         self._rtt_acked = False  # an ack has timed the link
-        self._echo_sent_at: float | None = None  # perf_counter send time, until the reply
-        self._peer_echoed = False  # the peer's one echo request is answered
         self._last_outcome_at: float | None = None
         self.ttft_ms: float = 0.0
         self._started_at = 0.0
@@ -234,10 +233,11 @@ class _NodeEngine:
             s.value: (self.queues[s][0].step if self.queues[s] else None, len(self.queues[s]))
             for s in Side
         }
+        awaited = [f"{m.kind.name}:{m.seq}" for m, _ in self.awaited]
         return (
             f"role={self.role} agg={self.current_agg} log={len(self.log_entries)} "
             f"queues(head,len)={heads} next_expected={self.next_expected} "
-            f"awaiting_ack={self.awaiting_ack} rtt={self.rtt_ema} "
+            f"awaited={awaited} rtt={self.rtt_ema} "
             f"decoding={self.decode_due is not None}"
         )
 
@@ -274,9 +274,6 @@ class _NodeEngine:
                     rollback(self.state, prefix, target)
                     if remote:
                         self.stream.send(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step))
-                elif not remote:
-                    # I aggregate: the remote side's fresh drafts race its ack
-                    self.awaiting_ack = step
 
     def _switch(self, side: Side | None) -> None:
         if side is not None and side is not self.current_agg:
@@ -339,7 +336,7 @@ class _NodeEngine:
             raise self._protocol_error(f"peer sent {what}")
         if isinstance(msg, DraftMsg):
             # until the peer acks its rollback, its drafts are stale speculation
-            if self.awaiting_ack is None:
+            if not any(m.kind is ProbeKind.ROLLBACK_ACK for m, _ in self.awaited):
                 self._queue_draft(peer, msg)
         elif isinstance(msg, TargetMsg):
             if self.current_agg is self.role:
@@ -350,30 +347,25 @@ class _NodeEngine:
             self._on_probe(msg)
         elif isinstance(msg, Hello):
             self.peer_hello = True
+            self.stream.send(ProbeMsg(ProbeKind.ECHO_REPLY, seq=0))
         else:
             raise self._protocol_error("peer said bye before the log was final")
 
+    def _request(self, msg, reply: ProbeMsg) -> None:
+        """Send a request the peer answers with `reply`, timed from now."""
+        self.awaited.append((reply, time.perf_counter()))
+        self.stream.send(msg)
+
     def _on_probe(self, msg: ProbeMsg) -> None:
-        """Answer the peer's one echo; time this node's echo and every
-        rollback ack from its own send time."""
-        if msg.kind is ProbeKind.ECHO_REQUEST:
-            if self._peer_echoed:
-                raise self._protocol_error("peer sent a second echo request")
-            self._peer_echoed = True
-            self.stream.send(ProbeMsg(ProbeKind.ECHO_REPLY, seq=msg.seq))
-        elif msg.kind is ProbeKind.ECHO_REPLY:
-            # FIFO both ways: the reply comes before the ack of any outcome
-            # this node sent, all of which followed its echo request
-            if self._echo_sent_at is None:
-                raise self._protocol_error("echo reply with no echo outstanding")
-            self.rtt_ema = (time.perf_counter() - self._echo_sent_at) * 1000.0
-            self._echo_sent_at = None
-        elif msg.kind is ProbeKind.ROLLBACK_ACK:
-            if self.awaiting_ack != msg.seq:
-                raise self._protocol_error(f"unexpected rollback ack for step {msg.seq}")
-            self.awaiting_ack = None
-            rtt_ms = (time.perf_counter() - self._rejected_at) * 1000.0
-            # the echo's reply waited behind both cold first decodes, so the
+        """Match a reply against the oldest awaited one and time it from its
+        request's send."""
+        if not self.awaited or self.awaited[0][0] != msg:
+            raise self._protocol_error(f"unexpected {msg.kind.name}:{msg.seq}")
+        rtt_ms = (time.perf_counter() - self.awaited.popleft()[1]) * 1000.0
+        if msg.kind is ProbeKind.ECHO_REPLY:
+            self.rtt_ema = rtt_ms
+        else:
+            # the Hello's reply waited behind both cold first decodes, so the
             # first ack replaces its sample; later acks blend in
             self.rtt_ema = 0.8 * self.rtt_ema + 0.2 * rtt_ms if self._rtt_acked else rtt_ms
             self._rtt_acked = True
@@ -400,17 +392,18 @@ class _NodeEngine:
             self._apply_outcome(step, outcome.target, outcome.accept_l, outcome.accept_r)
             switch_to = self._schedule()
             self._switch(switch_to)
-            if self.awaiting_ack == step:
-                self._rejected_at = time.perf_counter()  # the peer acks as it applies it
-            self.stream.send(
-                TargetMsg(
-                    step=step,
-                    target=outcome.target,
-                    accept_l=outcome.accept_l,
-                    accept_r=outcome.accept_r,
-                    switch_to=switch_to,
-                )
+            msg = TargetMsg(
+                step=step,
+                target=outcome.target,
+                accept_l=outcome.accept_l,
+                accept_r=outcome.accept_r,
+                switch_to=switch_to,
             )
+            if not (msg.accept_r if self.role is Side.DEVICE else msg.accept_l):
+                # it rejects the peer's draft: the peer acks as it applies it
+                self._request(msg, ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step))
+            else:
+                self.stream.send(msg)
 
     def _schedule(self) -> Side | None:
         """Pick the aggregation side for the next step; None means stay put."""
@@ -433,15 +426,9 @@ class _NodeEngine:
         self._started_at = started_at
         cfg = self.config
         try:
-            self.stream.send(Hello())
-            self._echo_sent_at = time.perf_counter()  # an RTT estimate before the first ack
-            self.stream.send(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=0))
-            # one loop from Hello to the last token: frames that came in with
-            # the peer's Hello are handled before the next own decode
-            self._loop_until(
-                lambda: self.peer_hello and len(self.log_entries) >= cfg.max_new_tokens,
-                "generation",
-            )
+            # the peer echoes the Hello: an RTT estimate before the first ack
+            self._request(Hello(), ProbeMsg(ProbeKind.ECHO_REPLY, seq=0))
+            self._loop()
             if cfg.max_new_tokens == 0:
                 self.ttft_ms = (time.perf_counter() - started_at) * 1000.0
             self.stream.send(Bye())
@@ -461,13 +448,17 @@ class _NodeEngine:
             profile_rows=list(self.profile_rows),
         )
 
-    def _loop_until(self, done, label: str) -> None:
-        """Until done(): aggregate, finish a due own decode, aggregate if it
-        drafted, start the next, then wait for a message and handle every
-        message already due, unless done() holds first (the peer's Bye may
+    def _loop(self) -> None:
+        """From Hello to the last token: aggregate, finish a due own decode,
+        aggregate if it drafted, start the next, then wait for a message and
+        handle every message already due, until done() (the peer's Bye may
         follow the last outcome).  Aggregating first spares a decode an own
         rejection voids."""
         deadline = time.perf_counter() + PEER_TIMEOUT_S
+
+        def done() -> bool:
+            return self.peer_hello and len(self.log_entries) >= self.config.max_new_tokens
+
         while True:
             self._aggregate_ready()
             if self._finish_decode():
@@ -475,12 +466,12 @@ class _NodeEngine:
             self._start_decode()
             if done():
                 return
-            msg = self._recv(deadline, label)
+            msg = self._recv(deadline, "generation")
             while msg is not None:
                 self._handle(msg)
                 if done():
                     break
-                msg = self._recv(deadline, label, wait=False)
+                msg = self._recv(deadline, "generation", wait=False)
 
     def _recv(self, deadline: float, label: str, wait: bool = True):
         """Next due message; None once the own decode falls due, or at once if not `wait`."""

@@ -53,7 +53,7 @@ class MsgType(enum.IntEnum):
 
 
 class ProbeKind(enum.IntEnum):
-    ECHO_REQUEST = 0
+    # 0 was the echo request, retired: a node's Hello is its echo request
     ECHO_REPLY = 1
     ROLLBACK_ACK = 2
 
@@ -114,7 +114,7 @@ class TargetMsg:
 
 @dataclass(frozen=True)
 class ProbeMsg:
-    """An echo request or reply, or a rollback ack; seq is an ack's step."""
+    """The echo reply to a Hello, or a rollback ack; seq is an ack's step."""
 
     kind: ProbeKind
     seq: int

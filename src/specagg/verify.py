@@ -96,7 +96,8 @@ def random_message(rng: np.random.Generator) -> transport.Message:
             accept_r=bool(rng.integers(2)),
             switch_to=switch,
         )
+    kinds = list(transport.ProbeKind)
     return transport.ProbeMsg(
-        kind=transport.ProbeKind(int(rng.integers(3))),
+        kind=kinds[int(rng.integers(len(kinds)))],
         seq=int(rng.integers(0, 2**31)),
     )

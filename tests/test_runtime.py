@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -61,26 +62,48 @@ def keys(entries):
     return [e.key() for e in entries]
 
 
+def peer_draft(cfg, peer_state, step):
+    """The peer's next draft from its own decoder state, as it goes on the wire."""
+    rerank(peer_state)
+    rec = decode_step(peer_state, decode_uniform(cfg.seed, step))
+    dist = topp_encode(rec.dist, cfg.top_p, force_token=rec.token)
+    return DraftMsg(step=step, token=rec.token, h=rec.h, decode_ms=1.0, dist=dist)
+
+
 def first_draft(cfg, side, decode_ms=1.0, step=0):
     """`side`'s step-0 draft as it goes on the wire, numbered `step`."""
-    state = build_decoder(cfg, side)
-    rerank(state)
-    rec = decode_step(state, decode_uniform(cfg.seed, 0))
-    dist = topp_encode(rec.dist, cfg.top_p, force_token=rec.token)
-    return DraftMsg(step=step, token=rec.token, h=rec.h, decode_ms=decode_ms, dist=dist)
+    draft = peer_draft(cfg, build_decoder(cfg, side), 0)
+    return replace(draft, step=step, decode_ms=decode_ms)
 
 
+@contextmanager
 def engine_pair(cfg):
-    """A node's engine and a raw stream standing in for its peer."""
+    """A node's engine and a raw stream standing in for its peer, all closed
+    on the way out, a failing test's included."""
     near, far = socket.socketpair()
     engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
-    return engine, MessageStream(far, vocab_size=256)
+    peer = MessageStream(far, vocab_size=256)
+    try:
+        yield engine, peer
+    finally:
+        engine.inbox.close()
+        engine.stream.close()
+        peer.close()
 
 
-def close_pair(engine, peer):
-    engine.inbox.close()
-    engine.stream.close()
-    peer.close()
+class Stop(Exception):
+    """Raised by a test hook to end an engine's loop where the test looks."""
+
+
+def aggregate_through(engine, peer_state, last_step):
+    """On an engine that aggregates, draft, queue and aggregate both sides'
+    steps up to `last_step`, the peer's drafts decoded from `peer_state`."""
+    cfg = engine.config
+    for step in range(last_step + 1):
+        engine._start_decode()
+        assert engine._finish_decode()
+        engine._queue_draft(engine.role.other, peer_draft(cfg, peer_state, step))
+        engine._aggregate_ready()
 
 
 class TestSequentialReference:
@@ -310,8 +333,9 @@ class TestEventLoop:
         far.close()
 
     def test_one_echo_request_per_node(self, monkeypatch):
-        # each node probes the link once, right after its Hello; the
-        # rollback acks time it from then on
+        # a node's Hello is its one echo request: it is the node's first
+        # frame, and each node echoes the peer's Hello exactly once; the
+        # rollback acks time the link from then on
         sent = defaultdict(list)
         original = MessageStream.send
 
@@ -323,11 +347,10 @@ class TestEventLoop:
         run_loopback_pair(base_config(max_new_tokens=40))
         assert sorted(sent) == ["node-cloud", "node-device"]
         for msgs in sent.values():
-            echoes = [
-                i for i, m in enumerate(msgs)
-                if isinstance(m, ProbeMsg) and m.kind is ProbeKind.ECHO_REQUEST
-            ]
-            assert isinstance(msgs[0], Hello) and echoes == [1]
+            assert isinstance(msgs[0], Hello)
+            assert sum(isinstance(m, Hello) for m in msgs) == 1
+            kinds = [m.kind for m in msgs if isinstance(m, ProbeMsg)]
+            assert kinds.count(ProbeKind.ECHO_REPLY) == 1
 
     def test_ack_samples_bounded_by_the_link(self, monkeypatch):
         # every ack answers an outcome that crossed the 5 ms link and comes
@@ -337,8 +360,9 @@ class TestEventLoop:
 
         def recording_on_probe(engine, msg):
             if msg.kind is ProbeKind.ROLLBACK_ACK:
-                rtt_ms = (time.perf_counter() - engine._rejected_at) * 1000.0
-                samples[engine.role].append(rtt_ms)
+                request, sent_at = engine.awaited[0]
+                assert request == msg
+                samples[engine.role].append((time.perf_counter() - sent_at) * 1000.0)
             return original(engine, msg)
 
         monkeypatch.setattr(_NodeEngine, "_on_probe", recording_on_probe)
@@ -370,19 +394,8 @@ class TestEventLoop:
         # behind speculative drafts
         cfg = base_config(role=Side.CLOUD, max_new_tokens=12)
         peer_state = build_decoder(cfg, Side.DEVICE)
-        drafts = []
-        for step in range(4):
-            rerank(peer_state)
-            rec = decode_step(peer_state, decode_uniform(cfg.seed, step))
-            dist = topp_encode(rec.dist, cfg.top_p, force_token=rec.token)
-            drafts.append(DraftMsg(step=step, token=rec.token, h=rec.h, decode_ms=1.0, dist=dist))
-        near, far = socket.socketpair()
-        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
-        peer = MessageStream(far, vocab_size=256)
-        frames = [Hello(), *drafts, ProbeMsg(ProbeKind.ECHO_REQUEST, seq=0)]
-        for msg in frames:
-            peer.send(msg)
-
+        drafts = [peer_draft(cfg, peer_state, step) for step in range(4)]
+        frames = [Hello(), *drafts, ProbeMsg(ProbeKind.ECHO_REPLY, seq=0)]
         events = []
         handle, own_decode = _NodeEngine._handle, runtime.decode_step
 
@@ -393,33 +406,27 @@ class TestEventLoop:
         def recording_decode(state, u):
             rec = own_decode(state, u)
             events.append("own-decode")
+            if events.count("own-decode") == 2:
+                raise Stop
             return rec
 
         monkeypatch.setattr(_NodeEngine, "_handle", recording_handle)
         monkeypatch.setattr(runtime, "decode_step", recording_decode)
-        engine._loop_until(lambda: events.count("own-decode") >= 2, "test")
+        with engine_pair(cfg) as (engine, peer):
+            for msg in frames:
+                peer.send(msg)
+            with pytest.raises(Stop):
+                engine.run(time.perf_counter())  # the reply answers its Hello
         assert events[: len(frames)] == [type(m).__name__ for m in frames]
         assert events[len(frames) :] == ["own-decode", "own-decode"]
         assert [r.step for r in engine.queues[Side.DEVICE]] == [0, 1, 2, 3]
-        engine.inbox.close()
-        engine.stream.close()
-        peer.close()
 
     def test_ready_heads_aggregated_before_next_decode(self, monkeypatch):
         # a peer draft that completes the heads is aggregated before the own
         # decode already due finishes: the outcome goes out a decode sooner,
         # and an own rejection cancels that decode instead of wasting it
         cfg = base_config(role=Side.DEVICE, max_new_tokens=12)
-        peer_state = build_decoder(cfg, Side.CLOUD)
-        rerank(peer_state)
-        rec = decode_step(peer_state, decode_uniform(cfg.seed, 0))
-        dist = topp_encode(rec.dist, cfg.top_p, force_token=rec.token)
-        peer_draft = DraftMsg(step=0, token=rec.token, h=rec.h, decode_ms=1.0, dist=dist)
-        near, far = socket.socketpair()
-        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
-        peer = MessageStream(far, vocab_size=256)
-        peer.send(Hello())
-
+        draft = first_draft(cfg, Side.CLOUD)
         events = []
         own_decode, own_aggregate = runtime.decode_step, runtime.aggregate
 
@@ -427,41 +434,7 @@ class TestEventLoop:
             rec = own_decode(state, u)
             events.append(f"own-decode {rec.step}")
             if rec.step == 0:
-                peer.send(peer_draft)  # arrives while own decode 1 is due
-            return rec
-
-        def recording_aggregate(dev, cloud, draws):
-            events.append(f"aggregate {dev.step}")
-            return own_aggregate(dev, cloud, draws)
-
-        monkeypatch.setattr(runtime, "decode_step", recording_decode)
-        monkeypatch.setattr(runtime, "aggregate", recording_aggregate)
-        engine._loop_until(lambda: len(events) >= 3, "test")
-        assert events == ["own-decode 0", "aggregate 0", "own-decode 1"]
-        engine.inbox.close()
-        engine.stream.close()
-        peer.close()
-
-    def test_draft_arriving_with_hello_aggregated_before_second_decode(self, monkeypatch):
-        # the peer's Hello and its step-0 draft arrive together while this
-        # node's second own decode is due: one loop runs from Hello to the
-        # last token, so the draft is handled and step 0 aggregated first
-        cfg = base_config(role=Side.DEVICE, max_new_tokens=12)
-        engine, peer = engine_pair(cfg)
-        peer_draft = first_draft(cfg, Side.CLOUD)
-
-        class Stop(Exception):
-            pass
-
-        events = []
-        own_decode, own_aggregate = runtime.decode_step, runtime.aggregate
-
-        def recording_decode(state, u):
-            rec = own_decode(state, u)
-            events.append(f"own-decode {rec.step}")
-            if rec.step == 0:
-                peer.send(Hello())
-                peer.send(peer_draft)
+                peer.send(draft)  # arrives while own decode 1 is due
             if rec.step == 1:
                 raise Stop
             return rec
@@ -472,10 +445,40 @@ class TestEventLoop:
 
         monkeypatch.setattr(runtime, "decode_step", recording_decode)
         monkeypatch.setattr(runtime, "aggregate", recording_aggregate)
-        with pytest.raises(Stop):
+        with engine_pair(cfg) as (engine, peer):
+            peer.send(Hello())
+            with pytest.raises(Stop):
+                engine.run(time.perf_counter())
+        assert events == ["own-decode 0", "aggregate 0", "own-decode 1"]
+
+    def test_draft_arriving_with_hello_aggregated_before_second_decode(self, monkeypatch):
+        # the peer's Hello and its step-0 draft arrive together while this
+        # node's second own decode is due: one loop runs from Hello to the
+        # last token, so the draft is handled and step 0 aggregated first
+        cfg = base_config(role=Side.DEVICE, max_new_tokens=12)
+        draft = first_draft(cfg, Side.CLOUD)
+        events = []
+        own_decode, own_aggregate = runtime.decode_step, runtime.aggregate
+
+        def recording_decode(state, u):
+            rec = own_decode(state, u)
+            events.append(f"own-decode {rec.step}")
+            if rec.step == 0:
+                peer.send(Hello())
+                peer.send(draft)
+            if rec.step == 1:
+                raise Stop
+            return rec
+
+        def recording_aggregate(dev, cloud, draws):
+            events.append(f"aggregate {dev.step}")
+            return own_aggregate(dev, cloud, draws)
+
+        monkeypatch.setattr(runtime, "decode_step", recording_decode)
+        monkeypatch.setattr(runtime, "aggregate", recording_aggregate)
+        with engine_pair(cfg) as (engine, peer), pytest.raises(Stop):
             engine.run(time.perf_counter())
         assert events == ["own-decode 0", "aggregate 0", "own-decode 1"]
-        peer.close()
 
     def test_own_draft_queued_as_the_peer_reads_it(self):
         # a node queues its own draft from the message it sends, so its
@@ -511,138 +514,108 @@ class TestEventLoop:
         cfg = base_config(role=Side.DEVICE, static_side=Side.DEVICE, max_new_tokens=24)
         reference = sequential_reference(cfg)
         s = next(e.step for e in reference if not e.accept_r)
-        peer_cfg = replace(cfg, role=Side.CLOUD)
-        peer_state = build_decoder(peer_cfg)
+        peer_state = build_decoder(cfg, Side.CLOUD)
+        with engine_pair(cfg) as (engine, peer):
+            engine._handle(Hello())
+            aggregate_through(engine, peer_state, s)
+            assert keys(engine.log_entries) == keys(reference[: s + 1])
+            assert [m for m, _ in engine.awaited] == [ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=s)]
 
-        def peer_draft(step):
-            rerank(peer_state)
-            rec = decode_step(peer_state, decode_uniform(cfg.seed, step))
-            dist = topp_encode(rec.dist, cfg.top_p, force_token=rec.token)
-            return DraftMsg(step=step, token=rec.token, h=rec.h, decode_ms=1.0, dist=dist)
+            def deliver(msg):
+                peer.send(msg)
+                engine._handle(engine.inbox.recv(timeout=5.0))
 
-        near, far = socket.socketpair()
-        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
-        peer = MessageStream(far, vocab_size=256)
-        peer.send(Hello())
-        for step in range(s + 1):
-            peer.send(peer_draft(step))
-        engine._loop_until(lambda: len(engine.log_entries) > s, "test")
-        assert keys(engine.log_entries) == keys(reference[: s + 1])
-        assert engine.awaiting_ack == s
-
-        def deliver(msg):
-            peer.send(msg)
-            engine._handle(engine.inbox.recv(timeout=5.0))
-
-        for step in (s + 1, s + 2):  # speculative drafts past the rejected token
-            deliver(peer_draft(step))
-        assert not engine.queues[Side.CLOUD]
-        assert engine.next_expected[Side.CLOUD] == s + 1
-        with pytest.raises(ProtocolError, match="rollback ack"):
-            deliver(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=s + 1))
-        deliver(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=s))
-        assert engine.awaiting_ack is None
-        prefix = cfg.prompt + [e.token for e in reference[:s]]
-        rollback(peer_state, prefix, reference[s].token)
-        deliver(peer_draft(s + 1))
-        assert [r.step for r in engine.queues[Side.CLOUD]] == [s + 1]
-        assert engine.next_expected[Side.CLOUD] == s + 2
-        engine.inbox.close()
-        engine.stream.close()
-        peer.close()
+            for step in (s + 1, s + 2):  # speculative drafts past the rejected token
+                deliver(peer_draft(cfg, peer_state, step))
+            assert not engine.queues[Side.CLOUD]
+            assert engine.next_expected[Side.CLOUD] == s + 1
+            with pytest.raises(ProtocolError, match=f"unexpected ROLLBACK_ACK:{s + 1}"):
+                deliver(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=s + 1))
+            deliver(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=s))
+            assert not engine.awaited
+            prefix = cfg.prompt + [e.token for e in reference[:s]]
+            rollback(peer_state, prefix, reference[s].token)
+            deliver(peer_draft(cfg, peer_state, s + 1))
+            assert [r.step for r in engine.queues[Side.CLOUD]] == [s + 1]
+            assert engine.next_expected[Side.CLOUD] == s + 2
 
     @pytest.mark.parametrize("acks", [0, 3])
     def test_first_in_run_echo_replaces_handshake_rtt(self, monkeypatch, acks):
-        # the handshake echo's reply waits behind both nodes' cold first
-        # decode: it sets the estimate until the first in-run sample, the
-        # rollback ack that echoes a rejecting outcome, replaces it; later
-        # acks blend in.  Each ack is timed from the send of the outcome
-        # that rejected the peer.  With no ack the handshake sample stands.
+        # the reply to the Hello waits behind both nodes' cold first decode:
+        # it sets the estimate until the first in-run sample, the rollback
+        # ack that echoes a rejecting outcome, replaces it; later acks blend
+        # in.  Each ack is timed from the send of the outcome that rejected
+        # the peer.  With no ack the handshake sample stands.
         cfg = base_config(role=Side.DEVICE, static_side=Side.DEVICE, max_new_tokens=24)
         reference = sequential_reference(cfg)
         rejected = [e.step for e in reference if not e.accept_r][:acks]
         assert len(rejected) == acks
         last_step = rejected[-1] if rejected else 0
         assert reference[0].accept_r  # with no ack, step 0 rejects nothing
-        engine, peer = engine_pair(cfg)
         peer_state = build_decoder(cfg, Side.CLOUD)
         clock = [10.0]
-        monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
-        engine._echo_sent_at = clock[0]  # as run() sends its echo
-        clock[0] += 0.018
-        engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=0))
-        assert engine.rtt_ema == pytest.approx(18.0)
-
         estimates = []
-        for step in range(last_step + 1):
-            engine._start_decode()
-            assert engine._finish_decode()
-            rerank(peer_state)
-            rec = decode_step(peer_state, decode_uniform(cfg.seed, step))
-            dist = topp_encode(rec.dist, cfg.top_p, force_token=rec.token)
-            engine._queue_draft(
-                Side.CLOUD, DraftMsg(step=step, token=rec.token, h=rec.h, decode_ms=1.0, dist=dist)
-            )
-            clock[0] += 0.003  # the outcome goes out 3 ms after the drafts
-            engine._aggregate_ready()
-            if step in rejected:
-                assert engine.awaiting_ack == step
-                clock[0] += 0.005 * (len(estimates) + 1)  # the ack, 5, 10, then 15 ms later
-                engine._on_probe(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step))
-                estimates.append(engine.rtt_ema)
-                prefix = cfg.prompt + [e.token for e in reference[:step]]
-                rollback(peer_state, prefix, reference[step].token)
-        monkeypatch.undo()
+        with engine_pair(cfg) as (engine, peer):
+            monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
+            engine._request(Hello(), ProbeMsg(ProbeKind.ECHO_REPLY, seq=0))  # as run() opens
+            clock[0] += 0.018
+            engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=0))
+            assert engine.rtt_ema == pytest.approx(18.0)
+            for step in range(last_step + 1):
+                engine._start_decode()
+                assert engine._finish_decode()
+                engine._queue_draft(Side.CLOUD, peer_draft(cfg, peer_state, step))
+                clock[0] += 0.003  # the outcome goes out 3 ms after the drafts
+                engine._aggregate_ready()
+                if step in rejected:
+                    ack = ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step)
+                    assert [m for m, _ in engine.awaited] == [ack]
+                    clock[0] += 0.005 * (len(estimates) + 1)  # the ack, 5, 10, then 15 ms later
+                    engine._on_probe(ack)
+                    estimates.append(engine.rtt_ema)
+                    prefix = cfg.prompt + [e.token for e in reference[:step]]
+                    rollback(peer_state, prefix, reference[step].token)
+            monkeypatch.undo()
         assert keys(engine.log_entries) == keys(reference[: last_step + 1])
         # 5.0, then 0.8 * 5.0 + 0.2 * 10.0 = 6.0, then 0.8 * 6.0 + 0.2 * 15.0 = 7.8
         assert estimates == pytest.approx([5.0, 6.0, 7.8][:acks])
         assert engine.rtt_ema == pytest.approx(estimates[-1] if estimates else 18.0)
-        close_pair(engine, peer)
 
     def test_decode_ms_excludes_time_past_due(self, monkeypatch):
         # a decode that fell due while the loop handled messages is charged
         # its injected delay and its compute, not that handling time, so the
         # profiler and the peer's scheduler learn the decode cost alone
-        near, far = socket.socketpair()
-        cfg = base_config(decode_delay_ms=5.0)
-        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
         clock = [100.0]
-        monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
-        engine._start_decode()
-        assert engine.decode_due == pytest.approx(100.005)
-        clock[0] = 160.0  # the loop got back a minute after the decode fell due
-        engine._finish_decode()
-        monkeypatch.undo()
-        assert engine.profile_rows[-1][1] == pytest.approx(5.0)
-        sent = MessageStream(far, vocab_size=256).recv()
+        with engine_pair(base_config(decode_delay_ms=5.0)) as (engine, peer):
+            monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
+            engine._start_decode()
+            assert engine.decode_due == pytest.approx(100.005)
+            clock[0] = 160.0  # the loop got back a minute after the decode fell due
+            engine._finish_decode()
+            monkeypatch.undo()
+            assert engine.profile_rows[-1][1] == pytest.approx(5.0)
+            sent = peer.recv()
         assert isinstance(sent, DraftMsg) and sent.decode_ms == pytest.approx(5.0)
-        engine.inbox.close()
-        engine.stream.close()
-        far.close()
 
     def test_profile_row_predicts_before_it_observes(self, monkeypatch):
         # c_dec_pred is the estimate the node held before the decode, not one
         # that already blends it in; the first decode has none, so its row
         # records the observation
-        near, far = socket.socketpair()
         cfg = base_config()
-        engine = _NodeEngine(cfg, build_decoder(cfg), MessageStream(near, vocab_size=256))
         clock = [100.0]
-        monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
-        for delay_ms in (5.0, 15.0, 15.0):
-            cfg.decode_delay_ms = delay_ms
-            engine._start_decode()
-            clock[0] += 1.0
-            assert engine._finish_decode()
-        monkeypatch.undo()
+        with engine_pair(cfg) as (engine, _):
+            monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
+            for delay_ms in (5.0, 15.0, 15.0):
+                cfg.decode_delay_ms = delay_ms
+                engine._start_decode()
+                clock[0] += 1.0
+                assert engine._finish_decode()
+            monkeypatch.undo()
         rows = engine.profile_rows
         assert [row[0] for row in rows] == [len(cfg.prompt) + step for step in range(3)]
         assert [row[1] for row in rows] == pytest.approx([5.0, 15.0, 15.0])
         # 5.0, then 0.7 * 5.0 + 0.3 * 15.0 = 8.0
         assert [row[2] for row in rows] == pytest.approx([5.0, 5.0, 8.0])
-        engine.inbox.close()
-        engine.stream.close()
-        far.close()
 
     def test_every_decision_sees_the_outcome_just_aggregated(self, monkeypatch):
         # the aggregator decides from the accept flags of the step it just
@@ -767,68 +740,67 @@ class TestFailFast:
             assert time.perf_counter() - started < 2.0
 
     def test_hello_comes_first_and_once(self):
+        # the peer's Hello is also its echo request: the one Hello is answered
+        # with the one echo reply, and a second Hello is a second request
         cfg = base_config()
-        engine, peer = engine_pair(cfg)
-        early = (
-            first_draft(cfg, Side.CLOUD),
-            ProbeMsg(ProbeKind.ECHO_REQUEST, seq=0),
-            Bye(),
-        )
-        for msg in early:
-            with pytest.raises(ProtocolError, match=f"{type(msg).__name__} before Hello"):
-                engine._handle(msg)
-        engine._handle(Hello())
-        with pytest.raises(ProtocolError, match="second Hello"):
+        early = (first_draft(cfg, Side.CLOUD), ProbeMsg(ProbeKind.ECHO_REPLY, seq=0), Bye())
+        with engine_pair(cfg) as (engine, peer):
+            for msg in early:
+                with pytest.raises(ProtocolError, match=f"{type(msg).__name__} before Hello"):
+                    engine._handle(msg)
             engine._handle(Hello())
-        close_pair(engine, peer)
+            assert peer.recv() == ProbeMsg(ProbeKind.ECHO_REPLY, seq=0)
+            with pytest.raises(ProtocolError, match="second Hello") as err:
+                engine._handle(Hello())
+        assert "queues(head,len)" in str(err.value)  # the state dump
 
     def test_echo_reply_not_outstanding_is_protocol_error(self):
-        # before this node's echo is sent, and once its one reply is in
-        engine, peer = engine_pair(base_config())
-        with pytest.raises(ProtocolError, match="no echo outstanding"):
-            engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=0))
-        for msg in (Hello(), *[ProbeMsg(ProbeKind.ECHO_REPLY, seq=0)] * 2):
-            peer.send(msg)
-        with pytest.raises(ProtocolError, match="no echo outstanding") as err:
-            engine.run(time.perf_counter())  # sends Hello and its echo, then loops
-        assert f"rtt={engine.rtt_ema}" in str(err.value)  # the first reply was timed
+        # before this node's Hello is sent, and once its one reply is in
+        with engine_pair(base_config()) as (engine, peer):
+            with pytest.raises(ProtocolError, match="unexpected ECHO_REPLY:0"):
+                engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=0))
+            for msg in (Hello(), *[ProbeMsg(ProbeKind.ECHO_REPLY, seq=0)] * 2):
+                peer.send(msg)
+            with pytest.raises(ProtocolError, match="unexpected ECHO_REPLY:0") as err:
+                engine.run(time.perf_counter())  # sends its Hello, then loops
+        assert f"awaited=[] rtt={engine.rtt_ema}" in str(err.value)  # the first reply was timed
         assert engine.rtt_ema is not None
-        peer.close()
 
-    def test_second_echo_request_is_protocol_error(self):
-        engine, peer = engine_pair(base_config())
-        engine._handle(Hello())
-        engine._handle(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=0))
-        assert peer.recv() == ProbeMsg(ProbeKind.ECHO_REPLY, seq=0)
-        with pytest.raises(ProtocolError, match="second echo request") as err:
-            engine._handle(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=1))
-        assert "queues(head,len)" in str(err.value)  # the state dump
-        assert "rtt=None" in str(err.value)
-        close_pair(engine, peer)
+    def test_rollback_ack_overtaking_the_hello_reply_is_protocol_error(self):
+        # the peer answers this node's Hello before any outcome that followed
+        # it, so an ack while the Hello's reply is awaited is out of order
+        cfg = base_config(role=Side.DEVICE, static_side=Side.DEVICE)
+        s = next(e.step for e in sequential_reference(cfg) if not e.accept_r)
+        with engine_pair(cfg) as (engine, _):
+            engine._request(Hello(), ProbeMsg(ProbeKind.ECHO_REPLY, seq=0))  # as run() opens
+            engine._handle(Hello())
+            aggregate_through(engine, build_decoder(cfg, Side.CLOUD), s)
+            with pytest.raises(ProtocolError, match=f"unexpected ROLLBACK_ACK:{s}") as err:
+                engine._handle(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=s))
+        assert f"awaited=['ECHO_REPLY:0', 'ROLLBACK_ACK:{s}']" in str(err.value)  # the state dump
+        assert "queues(head,len)" in str(err.value)
 
     def test_peer_draft_past_max_new_tokens_is_protocol_error(self):
         # a peer's own gate never drafts step max_new_tokens; one that does
         # could otherwise fill this node's queue without bound
         cfg = base_config(max_new_tokens=12)
-        engine, peer = engine_pair(cfg)
-        engine.next_expected[Side.CLOUD] = 12
-        with pytest.raises(ProtocolError, match="draft step 12") as err:
-            engine._queue_draft(Side.CLOUD, first_draft(cfg, Side.CLOUD, step=12))
+        with engine_pair(cfg) as (engine, _):
+            engine.next_expected[Side.CLOUD] = 12
+            with pytest.raises(ProtocolError, match="draft step 12") as err:
+                engine._queue_draft(Side.CLOUD, first_draft(cfg, Side.CLOUD, step=12))
         assert "queues(head,len)" in str(err.value)  # the state dump
         assert not engine.queues[Side.CLOUD]
-        close_pair(engine, peer)
 
     def test_peer_decode_ms_past_timeout_is_protocol_error(self):
         cfg = base_config()
-        engine, peer = engine_pair(cfg)
-        for decode_ms in (runtime.PEER_TIMEOUT_S * 1000.0 + 1.0, 1e300):
-            with pytest.raises(ProtocolError, match="decode_ms") as err:
-                engine._queue_draft(Side.CLOUD, first_draft(cfg, Side.CLOUD, decode_ms))
-            assert "queues(head,len)" in str(err.value)
-        assert engine.profiler.decode_estimate(Side.CLOUD) is None
-        engine._queue_draft(Side.CLOUD, first_draft(cfg, Side.CLOUD, 25.0))
-        assert engine.profiler.decode_estimate(Side.CLOUD) == pytest.approx(25.0)
-        close_pair(engine, peer)
+        with engine_pair(cfg) as (engine, _):
+            for decode_ms in (runtime.PEER_TIMEOUT_S * 1000.0 + 1.0, 1e300):
+                with pytest.raises(ProtocolError, match="decode_ms") as err:
+                    engine._queue_draft(Side.CLOUD, first_draft(cfg, Side.CLOUD, decode_ms))
+                assert "queues(head,len)" in str(err.value)
+            assert engine.profiler.decode_estimate(Side.CLOUD) is None
+            engine._queue_draft(Side.CLOUD, first_draft(cfg, Side.CLOUD, 25.0))
+            assert engine.profiler.decode_estimate(Side.CLOUD) == pytest.approx(25.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_context"):

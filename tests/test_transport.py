@@ -52,6 +52,12 @@ def raw_target(accept_l=1, switch=0):
     return HEADER.pack(MsgType.TARGET, len(body)) + body
 
 
+def raw_probe(kind):
+    """A probe frame packed by hand, so its kind byte can be unknown or retired."""
+    body = transport._PROBE.pack(kind, 1)
+    return HEADER.pack(MsgType.PROBE, len(body)) + body
+
+
 def two_pair_dist():
     return CompressedDist(
         vocab_size=100,
@@ -157,9 +163,8 @@ class TestErrors:
     @pytest.mark.parametrize(
         "frame",
         [
-            encode_frame(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=1))[:5]
-            + bytes([9])
-            + encode_frame(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=1))[6:],
+            raw_probe(9),
+            raw_probe(0),  # the retired echo request: a Hello is the echo request now
             raw_draft(3, [17, 3], [0.5, 0.25]),  # ids not increasing
             raw_draft(3, [3, 17], [0.5, 0.0]),  # zero mass
             raw_draft(3, [3, 170], [0.5, 0.25]),  # id outside the vocabulary
@@ -175,6 +180,7 @@ class TestErrors:
         ],
         ids=[
             "probe-kind-9",
+            "probe-kind-0",
             "ids-decreasing",
             "zero-value",
             "id-outside-vocab",
@@ -368,7 +374,7 @@ class TestLiveStream:
         inbox = DelayedInbox(server, delay_ms=200.0)
         n = 20
         for i in range(n):
-            client.send(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=i))
+            client.send(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=i))
         read = server.recv
         reads = []
 
@@ -377,7 +383,7 @@ class TestLiveStream:
             reads.append(msg.seq)
             if len(reads) > 10 * n:
                 raise AssertionError("recv kept reading a peer that never stops")
-            client.send(ProbeMsg(ProbeKind.ECHO_REQUEST, seq=n + len(reads)))
+            client.send(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=n + len(reads)))
             return msg
 
         monkeypatch.setattr(server, "recv", read_and_refill)

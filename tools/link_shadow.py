@@ -1,4 +1,4 @@
-"""Compare three ways of timing the link on in-process loopback pairs.
+"""Compare how the parent and the change time the link, on in-process loopback pairs.
 
     python3 tools/link_shadow.py run --parent DIR --change DIR --rows rows.jsonl
     python3 tools/link_shadow.py summarize --rows rows.jsonl
@@ -6,13 +6,11 @@
 `run` draws the inputs with `specbench/live.py`'s `make_inputs` (wan-v256
 seeds 1-3 with 10 inputs each, lan-v256 seed 1 with 8, at each workload's
 token count and delays) and runs every input once per variant through
-`runtime.run_loopback_pair`, each in a fresh process, rotating which variant
-goes first:
+`runtime.run_loopback_pair`, each in a fresh process, alternating which
+variant goes first:
 
     parent    the `src/` of the parent checkout;
-    ack_only  the change's `src/` with its handshake ECHO_REQUEST dropped
-              before it is sent, so only rollback acks time the link;
-    change    the change's `src/`.
+    change    the `src/` of the change.
 
 Each run appends one JSON row: whether both logs equal the expected log,
 the device's first-to-last-token span, its switch count, the side decisions
@@ -34,7 +32,7 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-VARIANTS = ("parent", "ack_only", "change")
+VARIANTS = ("parent", "change")
 INPUT_SETS = (("wan-v256", 1, 10), ("wan-v256", 2, 10), ("wan-v256", 3, 10), ("lan-v256", 1, 8))
 
 
@@ -76,7 +74,7 @@ def worker(variant: str, inputs_path: str, key: str, index: int) -> None:
     from specagg.common import Side
     from specagg.retrieval import load_corpus
     from specagg.runtime import NodeConfig, _NodeEngine, run_loopback_pair
-    from specagg.transport import MessageStream, ProbeKind, ProbeMsg
+    from specagg.transport import MessageStream
 
     entry = json.loads(Path(inputs_path).read_text())[key]
     gen = entry["inputs"][index]
@@ -101,12 +99,6 @@ def worker(variant: str, inputs_path: str, key: str, index: int) -> None:
         return schedule(engine)
 
     def counting_send(stream, msg):
-        if (
-            variant == "ack_only"
-            and isinstance(msg, ProbeMsg)
-            and msg.kind is ProbeKind.ECHO_REQUEST
-        ):
-            return 0
         frames[threading.current_thread().name] += 1
         return send(stream, msg)
 
@@ -128,11 +120,7 @@ def worker(variant: str, inputs_path: str, key: str, index: int) -> None:
 
 
 def record(args: argparse.Namespace) -> int:
-    sources = {
-        "parent": Path(args.parent) / "src",
-        "ack_only": Path(args.change) / "src",
-        "change": Path(args.change) / "src",
-    }
+    sources = {"parent": Path(args.parent) / "src", "change": Path(args.change) / "src"}
     rows = Path(args.rows)
     with tempfile.TemporaryDirectory(dir=rows.parent) as workdir:
         inputs_path = prepare(Path(workdir))
@@ -140,7 +128,7 @@ def record(args: argparse.Namespace) -> int:
         turn = 0
         for key, entry in sets.items():
             for index in range(len(entry["inputs"])):
-                order = VARIANTS[turn % 3 :] + VARIANTS[: turn % 3]
+                order = VARIANTS if turn % 2 == 0 else VARIANTS[::-1]
                 turn += 1
                 for variant in order:
                     env = dict(os.environ, PYTHONPATH=str(sources[variant]))
