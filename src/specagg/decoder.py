@@ -13,7 +13,10 @@ Either way a conditional's support is the document's distinct tokens, so a
 mixture of k documents has at most k * chunk_size ids whatever the
 vocabulary size, and the decoder works on those ids alone.  Those ids, and
 where each document's row sits among them, depend only on the retrieved
-documents, so a state lays them out once when it starts.
+documents, so a state lays them out once when it starts.  A state also
+keeps the scores, corrected weight and log-weights of each vector of window
+overlaps it has seen: a redraft after a rollback, whose window is often one
+seen before, reads them instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ import numpy as np
 from .dists import LogDist, Vocab, inverse_cdf_sample, logsumexp
 from .retrieval import Document, overlap_score
 from .rng import keyed_exponentials
+
+
+# a score vector, its log-sum-exp (the corrected weight) and its log-weights
+_Weights = tuple[np.ndarray, float, np.ndarray]
 
 
 class ContextExhaustedError(RuntimeError):
@@ -68,6 +75,11 @@ class DecoderState:
     chunk_size: int
     mixture_ids: np.ndarray = field(init=False, repr=False, compare=False)
     mixture_cols: np.ndarray = field(init=False, repr=False, compare=False)
+    # window overlaps per document -> (scores, corrected weight, log-weights)
+    _weights_by_overlap: dict[tuple[int, ...], _Weights] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _weights: _Weights | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         ids = np.array(sorted(set().union(*(doc.tokens for doc in self.docs))), dtype=np.int64)
@@ -136,34 +148,52 @@ def _conditional(doc: Document, prev: int) -> tuple[np.ndarray, np.ndarray]:
     return doc.distinct_ids, logp
 
 
+def _scored(scores: np.ndarray) -> _Weights:
+    """(scores, corrected weight, log-weights) of one score vector."""
+    h = float(logsumexp(scores))
+    return scores, h, scores - h
+
+
+def _current_weights(state: DecoderState) -> _Weights:
+    """The weights of `state.scores`, recomputed only if scores were replaced."""
+    weights = state._weights
+    if weights is None or weights[0] is not state.scores:
+        weights = state._weights = _scored(state.scores)
+    return weights
+
+
 def rerank(state: DecoderState) -> np.ndarray:
     """Recompute relevance from the trailing context window, in place.
 
     Window length equals the corpus chunk size.  Also refreshes the corrected
     weight implicitly: it is always the log-sum-exp of the current scores.
+    The scores returned are read-only.
     """
     window = set(state.context[-state.chunk_size :])
-    state.scores = np.array(
-        [overlap_score(len(window.intersection(doc.tokens))) for doc in state.docs],
-        dtype=np.float64,
-    )
+    overlaps = tuple([len(window.intersection(doc.tokens)) for doc in state.docs])
+    weights = state._weights_by_overlap.get(overlaps)
+    if weights is None:
+        scores = np.array([overlap_score(n) for n in overlaps], dtype=np.float64)
+        scores.setflags(write=False)
+        weights = state._weights_by_overlap[overlaps] = _scored(scores)
+    state._weights = weights
+    state.scores = weights[0]
     return state.scores
 
 
 def corrected_weight(state: DecoderState) -> float:
-    return float(logsumexp(state.scores))
+    return _current_weights(state)[1]
 
 
-def local_mixture(state: DecoderState, h: float | None = None) -> LogDist:
+def local_mixture(state: DecoderState) -> LogDist:
     """Per-side mixture: softmax(scores) over per-document conditionals.
 
-    h is `corrected_weight(state)` when the caller already holds it.  The
-    (k, |union of supports|) table holds the same columns as a dense (k, V)
-    table would, minus the all-zero ones, so each mixed log-prob is computed
-    by the same arithmetic.
+    The (k, |union of supports|) table holds the same columns as a dense
+    (k, V) table would, minus the all-zero ones, so each mixed log-prob is
+    computed by the same arithmetic.
     """
     prev = state.context[-1]
-    log_w = state.scores - (corrected_weight(state) if h is None else h)
+    log_w = _current_weights(state)[2]
     k = len(state.docs)
     table = np.full(k * state.mixture_ids.size, -np.inf)
     table[state.mixture_cols] = np.concatenate([_conditional(doc, prev)[1] for doc in state.docs])
@@ -183,7 +213,7 @@ def decode_step(state: DecoderState, rng_draw: float) -> DraftRecord:
             f"context {len(state.context)} >= max {state.max_context}"
         )
     h = corrected_weight(state)
-    dist = local_mixture(state, h)
+    dist = local_mixture(state)
     token = int(dist.token_ids[inverse_cdf_sample(dist.support_probs, rng_draw)])
     step = state.gen_step
     state.context.append(token)

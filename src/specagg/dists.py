@@ -38,26 +38,30 @@ class Vocab:
             raise ValueError(f"vocab size must be >= 2, got {self.size}")
 
 
+_max, _sum, _all = np.maximum.reduce, np.add.reduce, np.logical_and.reduce
+
+
 def logsumexp(logs: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     """Stable log(sum(exp(logs))) of an ndarray; handles -inf entries.
 
     Where the maximum is not finite it is the result: -inf for all -inf
-    input, +inf or NaN when an entry is.
+    input, +inf or NaN when an entry is.  The reductions are the ufunc
+    reduces that `ndarray.max` and `ndarray.sum` call, called directly.
     """
     if axis is None:
-        m = logs.max()
+        m = _max(logs, axis=None)
         if not math.isfinite(m):
             return float(m)
-        return float(m + np.log(np.exp(logs - m).sum()))
-    m = logs.max(axis=axis, keepdims=True)
+        return float(m + np.log(_sum(np.exp(logs - m), axis=None)))
+    m = _max(logs, axis=axis, keepdims=True)
     finite = np.isfinite(m)
-    if finite.all():
+    if _all(finite, axis=None):
         # the common case: a finite maximum, so no guard is needed
-        out = m + np.log(np.exp(logs - m).sum(axis=axis, keepdims=True))
+        out = m + np.log(_sum(np.exp(logs - m), axis=axis, keepdims=True))
     else:
         m_safe = np.where(finite, m, 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            out = m_safe + np.log(np.exp(logs - m_safe).sum(axis=axis, keepdims=True))
+            out = m_safe + np.log(_sum(np.exp(logs - m_safe), axis=axis, keepdims=True))
         out = np.where(finite, out, m)
     return out.squeeze(axis=axis)
 
@@ -286,31 +290,29 @@ def topp_encode(
 
     Ties in probability break toward the lower token id.  The boundary is
     inclusive (cumulative >= threshold).  force_token, when given, is always
-    part of the kept set regardless of its mass.  Only the support is sorted.
-    Kept masses too small for f16 are raised to F16_TINY.
+    part of the kept set regardless of its mass.  Only the support is sorted;
+    the kept set is a mask over it, so it needs no second sort.  Kept masses
+    too small for f16 are raised to F16_TINY.
     """
     if not 0.0 < p_threshold <= 1.0:
         raise ValueError(f"p_threshold must be in (0, 1], got {p_threshold}")
     probs = p.support_probs
-    nonzero = (probs > 0.0).nonzero()[0]
-    if nonzero.size == 0:
+    keep = probs > 0.0
+    if not keep.any():
         raise ValueError("empty distribution")
-    if p_threshold >= 1.0:
-        keep = nonzero
-    else:
+    if p_threshold < 1.0:
         # stable argsort keeps ascending-id order among equal probabilities
         order = (-probs).argsort(kind="stable")
         cum = probs[order].cumsum()
         cut = int(cum.searchsorted(p_threshold - 1e-12, side="left")) + 1
-        keep = order[:cut]
-        keep = keep[probs[keep] > 0.0]
+        top = np.zeros(probs.size, dtype=bool)
+        top[order[:cut]] = True
+        keep &= top
     if force_token is not None:
         pos = int(p.token_ids.searchsorted(force_token))
         if pos == p.token_ids.size or p.token_ids[pos] != force_token or probs[pos] <= 0.0:
             raise ValueError(f"cannot force zero-probability token {force_token}")
-        if not (keep == pos).any():
-            keep = np.append(keep, pos)
-    keep.sort()
+        keep[pos] = True
     return CompressedDist(
         vocab_size=p.vocab.size,
         token_ids=p.token_ids[keep].astype(np.uint32),

@@ -14,6 +14,7 @@ the nodes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import NamedTuple
 
@@ -73,10 +74,12 @@ def aggregation_draws(seed: int, step: int) -> AggregationDraws:
     )
 
 
+@functools.lru_cache(maxsize=1024)
 def decode_uniform(seed: int, step: int) -> float:
     """Sampling draw for the drafted token at a generation step.
 
     Deliberately side-independent: when both peers hold identical
     distributions they draft identical tokens and nothing is ever rejected.
+    Cached: a redraft after a rollback reuses its step's draw.
     """
     return step_uniform(seed, "decode", step)

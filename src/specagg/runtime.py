@@ -17,11 +17,14 @@ depth, or which node aggregates.  Three mechanisms carry that:
 
 One thread per node: the thread that calls `run_node` runs the event loop,
 which owns all protocol state and the DecoderState, handles every received
-message, aggregates inline while this node holds the role, decodes its own
-drafts, and makes every send itself, in the order the state changed; that
-order is what the FIFO fence above relies on.  An own decode is a timer: it
-starts when the gates allow, and once its injected delay has passed the
-loop drafts the token in one call.  The loop's only blocking wait is
+message, aggregates inline while this node holds the role and decodes its
+own drafts.  It queues every frame itself, in the order the state changed;
+that order is what the FIFO fence above relies on.  The queued frames leave
+in one write, before the loop waits and before it computes an own draft, so
+a draft and the outcome it completes travel together, draft first.  An own
+decode is a timer: it starts when the gates allow (after an own rejection,
+at the rollback itself), and once its injected delay has passed the loop
+drafts the token in one call.  The loop's only blocking wait is
 `DelayedInbox.recv`, bounded by that decode's due time.  The inbox comes
 first: every message already due is handled before the loop finishes or
 starts another own decode, so no outcome waits behind speculative drafts.
@@ -33,7 +36,7 @@ the step were observed when queued) and half the RTT estimate as each
 side's one-way cost.  The rule charges a hand-off the outcome's one-way
 trip; a hand-off travels with the outcome, so a peer whose draft was just
 rejected takes the role and redrafts without a second link crossing.  A
-node times the RTT from its own send times: its Hello is answered by an
+node times the RTT from its own write times: its Hello is answered by an
 echo reply, and each outcome it aggregates that rejects the peer by a
 rollback ack.  Both directions are FIFO, so every reply must match the
 head of one queue of awaited replies.  The Hello's reply waits behind both
@@ -194,10 +197,11 @@ class _NodeEngine:
     The protocol state below, the DecoderState included, belongs to the loop
     alone, so none of it is locked.  At most one own decode is under way: it
     is due `decode_delay_ms` after it starts, and `_finish_decode` drafts the
-    token once that time has passed.  Sends block: two loops cannot stall on
-    each other's sends while the frames in flight per direction (at most
+    token once that time has passed.  Frames are queued by `_send` and
+    written by `_flush`.  Writes block: two loops cannot stall on each
+    other's writes while the frames in flight per direction (at most
     `queue_capacity` drafts plus a few control frames per draft) fit in the
-    socket buffers, and a send that stalls FRAME_TIMEOUT_S fails the run.
+    socket buffers, and a write that stalls FRAME_TIMEOUT_S fails the run.
     """
 
     def __init__(self, config: NodeConfig, state: DecoderState, stream: MessageStream) -> None:
@@ -209,8 +213,11 @@ class _NodeEngine:
 
         self.queues: dict[Side, deque[DraftRecord]] = {s: deque() for s in Side}
         self.next_expected: dict[Side, int] = {s: 0 for s in Side}
-        # the replies the peer owes, oldest first, each with its request's perf_counter send time
-        self.awaited: deque[tuple[ProbeMsg, float]] = deque()
+        # the replies the peer owes, oldest first, each as [reply, perf_counter
+        # time its request was written]; a request not yet written holds the
+        # time it was queued, and `_flush` restamps it
+        self.awaited: deque[list] = deque()
+        self._unwritten_requests: list[list] = []
         self.log_entries: list[TargetEntry] = []
         self.current_agg: Side = config.static_side or Side.DEVICE
         # perf_counter time the own decode under way falls due; None: none is
@@ -272,8 +279,9 @@ class _NodeEngine:
                     self.decode_due = None  # its draft would follow the rejected one
                     prefix = self.config.prompt + [e.token for e in self.log_entries[:-1]]
                     rollback(self.state, prefix, target)
+                    self._start_decode()  # the redraft is due a decode from now
                     if remote:
-                        self.stream.send(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step))
+                        self._send(ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step))
 
     def _switch(self, side: Side | None) -> None:
         if side is not None and side is not self.current_agg:
@@ -296,11 +304,13 @@ class _NodeEngine:
         self.decode_due = time.perf_counter() + cfg.decode_delay_ms / 1000.0
 
     def _finish_decode(self) -> bool:
-        """Draft, queue and send the own decode under way once it is due;
-        True if it drafted."""
+        """Draft the own decode under way once it is due, queue it and its
+        frame; True if it drafted.  The frames queued before it are written
+        first, so none waits behind the draft's computation."""
         if self.decode_due is None or time.perf_counter() < self.decode_due:
             return False
         self.decode_due = None
+        self._flush()
         cfg = self.config
         computed = time.perf_counter()  # not the message handling since it fell due
         rerank(self.state)
@@ -313,7 +323,7 @@ class _NodeEngine:
         pred = decode_ms if pred is None else pred
         t_abs = len(cfg.prompt) + rec.step
         self.profile_rows.append((t_abs, decode_ms, pred, self.rtt_ema or 0.0))
-        self.stream.send(msg)
+        self._send(msg)
         return True
 
     def _queue_draft(self, side: Side, msg: DraftMsg) -> None:
@@ -347,14 +357,30 @@ class _NodeEngine:
             self._on_probe(msg)
         elif isinstance(msg, Hello):
             self.peer_hello = True
-            self.stream.send(ProbeMsg(ProbeKind.ECHO_REPLY, seq=0))
+            self._send(ProbeMsg(ProbeKind.ECHO_REPLY, seq=0))
         else:
             raise self._protocol_error("peer said bye before the log was final")
 
+    def _send(self, msg) -> None:
+        """Queue a frame for the next `_flush`."""
+        self.stream.send(msg, flush=False)
+
     def _request(self, msg, reply: ProbeMsg) -> None:
-        """Send a request the peer answers with `reply`, timed from now."""
-        self.awaited.append((reply, time.perf_counter()))
-        self.stream.send(msg)
+        """Queue a request the peer answers with `reply`, timed from its write."""
+        entry = [reply, time.perf_counter()]
+        self.awaited.append(entry)
+        self._unwritten_requests.append(entry)
+        self._send(msg)
+
+    def _flush(self) -> None:
+        """Write every queued frame at once; the requests among them are timed
+        from this write."""
+        if self._unwritten_requests:
+            now = time.perf_counter()
+            for entry in self._unwritten_requests:
+                entry[1] = now
+            self._unwritten_requests.clear()
+        self.stream.flush()
 
     def _on_probe(self, msg: ProbeMsg) -> None:
         """Match a reply against the oldest awaited one and time it from its
@@ -403,7 +429,7 @@ class _NodeEngine:
                 # it rejects the peer's draft: the peer acks as it applies it
                 self._request(msg, ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step))
             else:
-                self.stream.send(msg)
+                self._send(msg)
 
     def _schedule(self) -> Side | None:
         """Pick the aggregation side for the next step; None means stay put."""
@@ -431,7 +457,8 @@ class _NodeEngine:
             self._loop()
             if cfg.max_new_tokens == 0:
                 self.ttft_ms = (time.perf_counter() - started_at) * 1000.0
-            self.stream.send(Bye())
+            self._send(Bye())
+            self._flush()
             # the log is final and Bye is our last frame: skip whatever precedes the peer's Bye
             deadline = time.perf_counter() + PEER_TIMEOUT_S
             while not isinstance(self._recv(deadline, "peer shutdown"), Bye):
@@ -450,10 +477,10 @@ class _NodeEngine:
 
     def _loop(self) -> None:
         """From Hello to the last token: aggregate, finish a due own decode,
-        aggregate if it drafted, start the next, then wait for a message and
-        handle every message already due, until done() (the peer's Bye may
-        follow the last outcome).  Aggregating first spares a decode an own
-        rejection voids."""
+        aggregate if it drafted, start the next, write the queued frames, then
+        wait for a message and handle every message already due, until done()
+        (the peer's Bye may follow the last outcome).  Aggregating first
+        spares a decode an own rejection voids."""
         deadline = time.perf_counter() + PEER_TIMEOUT_S
 
         def done() -> bool:
@@ -466,6 +493,7 @@ class _NodeEngine:
             self._start_decode()
             if done():
                 return
+            self._flush()
             msg = self._recv(deadline, "generation")
             while msg is not None:
                 self._handle(msg)

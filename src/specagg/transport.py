@@ -242,7 +242,9 @@ class MessageStream:
 
     Not thread-safe: one thread sends and one thread receives.
     `bytes_received` counts every byte read, so `DelayedInbox` can read
-    exactly the frames the socket held when it was found readable.
+    exactly the frames the socket held when it was found readable.  A frame
+    sent with `flush=False` waits, in send order, for the next `flush`, so
+    frames sent together leave in one write.
     """
 
     def __init__(self, sock: socket.socket, *, vocab_size: int) -> None:
@@ -250,18 +252,31 @@ class MessageStream:
         self._sock = sock
         self._vocab_size = vocab_size
         self._max_body = max_body_len(vocab_size)
+        self._unwritten: list[bytes] = []
         self.bytes_received = 0
 
     def fileno(self) -> int:
         return self._sock.fileno()
 
-    def send(self, msg: Message) -> int:
+    def send(self, msg: Message, *, flush: bool = True) -> int:
+        """Frame one message; write it, and every frame before it, unless not
+        `flush`.  Returns the frame's length."""
         frame = encode_frame(msg)
+        self._unwritten.append(frame)
+        if flush:
+            self.flush()
+        return len(frame)
+
+    def flush(self) -> None:
+        """Write every frame not yet written, in send order, with one sendall."""
+        if not self._unwritten:
+            return
+        data = b"".join(self._unwritten)
+        self._unwritten.clear()
         try:
-            self._sock.sendall(frame)
+            self._sock.sendall(data)
         except OSError as exc:
             raise ConnectionClosedError(f"send failed: {exc}") from exc
-        return len(frame)
 
     def _recv_exact(self, n: int, *, mid_frame: bool) -> bytes:
         chunks: list[bytes] = []

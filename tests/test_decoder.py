@@ -16,7 +16,14 @@ from specagg.decoder import (
     rollback,
 )
 from specagg.dists import Vocab, interpolate_target, logsumexp
-from specagg.retrieval import Document, Half, NO_OVERLAP_SCORE, random_corpus, retrieve
+from specagg.retrieval import (
+    Document,
+    Half,
+    NO_OVERLAP_SCORE,
+    overlap_score,
+    random_corpus,
+    retrieve,
+)
 from specagg.rng import decode_uniform, keyed_exponentials
 
 
@@ -185,6 +192,69 @@ class TestRerank:
         state = make_state([(d, 0.0)], prompt=[9, 1, 1, 1, 1], vocab=16, chunk=4)
         # trailing 4 tokens exclude the 9 at position 0
         assert rerank(state)[0] == NO_OVERLAP_SCORE
+
+
+def window_overlaps(state):
+    window = set(state.context[-state.chunk_size :])
+    return tuple(len(window & set(d.tokens)) for d in state.docs)
+
+
+def fresh_weights(state):
+    """Scores, corrected weight and log-weights of the state's window, with
+    no cache and the `ndarray` reductions."""
+    scores = np.array([overlap_score(n) for n in window_overlaps(state)])
+    m = scores.max()
+    h = float(m + np.log(np.exp(scores - m).sum()))
+    return scores, h, scores - h
+
+
+def fresh_mixture(state):
+    """The state's mixture log-probs over mixture_ids, with no cache."""
+    _, _, log_w = fresh_weights(state)
+    prev = state.context[-1]
+    k = len(state.docs)
+    table = np.full(k * state.mixture_ids.size, -np.inf)
+    rows = [_conditional.__wrapped__(doc, prev)[1] for doc in state.docs]
+    table[state.mixture_cols] = np.concatenate(rows)
+    x = table.reshape(k, -1) + log_w[:, None]
+    m = x.max(axis=0, keepdims=True)
+    mixed = (m + np.log(np.exp(x - m).sum(axis=0, keepdims=True))).squeeze(axis=0)
+    top = mixed.max()
+    return mixed - float(top + np.log(np.exp(mixed - top).sum()))
+
+
+class TestStateCaches:
+    @given(
+        corpus_seed=st.integers(0, 2**16),
+        vocab=st.sampled_from([64, 256, 32768]),
+        k=st.integers(1, 6),
+        draws=st.lists(st.floats(0.0, 0.999), min_size=6, max_size=24),
+        rollback_every=st.integers(2, 5),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_cached_weights_equal_fresh_ones(self, corpus_seed, vocab, k, draws, rollback_every):
+        # a state reads the weights of an overlap vector it has seen before;
+        # they, and the mixture over them, must be byte for byte what a
+        # cache-free computation gives, across drafts and rollbacks
+        corpus = random_corpus(24, vocab, seed=corpus_seed, chunk_size=16)
+        prompt = list(corpus.docs[corpus_seed % 24].tokens[:10])
+        state = make_state(retrieve(corpus, prompt, k), prompt, vocab=vocab, chunk=16)
+        hits = 0
+        for i, draw in enumerate(draws):
+            hits += window_overlaps(state) in state._weights_by_overlap
+            scores = rerank(state)
+            ref_scores, ref_h, _ = fresh_weights(state)
+            assert scores.tobytes() == ref_scores.tobytes()
+            assert corrected_weight(state) == ref_h
+            mixture = local_mixture(state)
+            assert np.array_equal(mixture.token_ids, state.mixture_ids)
+            assert mixture.support_logp.tobytes() == fresh_mixture(state).tobytes()
+            rec = decode_step(state, draw)
+            assert rec.dist == mixture and rec.h == ref_h
+            if i % rollback_every == rollback_every - 1:
+                # the redraft after a rejection sees the rolled-back window again
+                rollback(state, state.context[:-2], state.context[-2])
+        assert hits  # a rollback returns to a window seen before
 
 
 class TestDecodeStep:

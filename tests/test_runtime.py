@@ -39,6 +39,7 @@ from specagg.transport import (
     MessageStream,
     ProbeKind,
     ProbeMsg,
+    decode_frame,
 )
 
 
@@ -339,9 +340,9 @@ class TestEventLoop:
         sent = defaultdict(list)
         original = MessageStream.send
 
-        def recording_send(stream, msg):
+        def recording_send(stream, msg, **kwargs):
             sent[threading.current_thread().name].append(msg)
-            return original(stream, msg)
+            return original(stream, msg, **kwargs)
 
         monkeypatch.setattr(MessageStream, "send", recording_send)
         run_loopback_pair(base_config(max_new_tokens=40))
@@ -480,6 +481,87 @@ class TestEventLoop:
             engine.run(time.perf_counter())
         assert events == ["own-decode 0", "aggregate 0", "own-decode 1"]
 
+    def test_redraft_due_a_decode_after_the_rollback(self, monkeypatch):
+        # an aggregator that rejects its own draft starts the redraft's timer
+        # at the rollback, so scheduling and writing the outcome run inside
+        # the injected decode instead of before it
+        cfg = base_config(
+            role=Side.DEVICE, static_side=Side.DEVICE, decode_delay_ms=10.0, max_new_tokens=24
+        )
+        reference = sequential_reference(cfg)
+        s = next(e.step for e in reference if not e.accept_l)
+        peer_state = build_decoder(cfg, Side.CLOUD)
+        clock = [100.0]
+        rolled_back = []
+        own_rollback, schedule = runtime.rollback, _NodeEngine._schedule
+
+        def timed_rollback(state, prefix, target):
+            own_rollback(state, prefix, target)
+            rolled_back.append(clock[0])
+
+        def slow_schedule(engine):
+            clock[0] += 0.002  # the decision after the outcome takes 2 ms
+            return schedule(engine)
+
+        with engine_pair(cfg) as (engine, peer):
+            monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
+            monkeypatch.setattr(runtime, "rollback", timed_rollback)
+            monkeypatch.setattr(_NodeEngine, "_schedule", slow_schedule)
+            engine._handle(Hello())
+            for step in range(s + 1):
+                engine._start_decode()
+                clock[0] = engine.decode_due
+                assert engine._finish_decode()
+                engine._queue_draft(Side.CLOUD, peer_draft(cfg, peer_state, step))
+                engine._aggregate_ready()
+                last = engine.log_entries[-1]
+                if not last.accept_r:
+                    prefix = cfg.prompt + [e.token for e in engine.log_entries[:-1]]
+                    own_rollback(peer_state, prefix, last.token)
+            assert keys(engine.log_entries) == keys(reference[: s + 1])
+            assert len(rolled_back) == 1
+            assert engine.decode_due == pytest.approx(rolled_back[0] + 0.010, rel=0, abs=1e-9)
+            engine._start_decode()  # the loop's own start leaves the timer as it is
+            assert engine.decode_due == pytest.approx(rolled_back[0] + 0.010, rel=0, abs=1e-9)
+            monkeypatch.undo()
+
+    def test_draft_and_the_outcome_it_completes_leave_in_one_write(self, monkeypatch):
+        # the loop writes the frames of a pass at once: an own draft that
+        # completes a step's heads goes out with that step's outcome, draft
+        # first, in one sendall
+        cfg = base_config(role=Side.DEVICE, static_side=Side.DEVICE, max_new_tokens=12)
+        writes = []
+        own_decode, sendall = runtime.decode_step, socket.socket.sendall
+
+        def recording_sendall(sock, data, *args):
+            if sock.fileno() == engine.stream.fileno():
+                frames, used = [], 0
+                while used < len(data):
+                    msg, n = decode_frame(bytes(data[used:]))
+                    frames.append(msg)
+                    used += n
+                writes.append(frames)
+            return sendall(sock, data, *args)
+
+        def stopping_decode(state, u):
+            if state.gen_step == 1:
+                raise Stop
+            return own_decode(state, u)
+
+        monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+        monkeypatch.setattr(runtime, "decode_step", stopping_decode)
+        with engine_pair(cfg) as (engine, peer):
+            for msg in (Hello(), first_draft(cfg, Side.CLOUD), ProbeMsg(ProbeKind.ECHO_REPLY, 0)):
+                peer.send(msg)
+            with pytest.raises(Stop):
+                engine.run(time.perf_counter())
+        shapes = [[(type(m).__name__, getattr(m, "step", None)) for m in w] for w in writes]
+        assert shapes == [
+            [("Hello", None)],
+            [("ProbeMsg", None)],  # the echo reply, written before the own decode
+            [("DraftMsg", 0), ("TargetMsg", 0)],
+        ]
+
     def test_own_draft_queued_as_the_peer_reads_it(self):
         # a node queues its own draft from the message it sends, so its
         # record and the one the peer builds from the frame are the same
@@ -495,6 +577,7 @@ class TestEventLoop:
         for _ in range(3):
             engine._start_decode()
             assert engine._finish_decode()
+            engine._flush()  # as the loop does before it waits
             peer._handle(peer.inbox.recv(timeout=5.0))
         own, read = engine.queues[Side.DEVICE], peer.queues[Side.DEVICE]
         assert [r.step for r in own] == [r.step for r in read] == [0, 1, 2]
@@ -544,8 +627,9 @@ class TestEventLoop:
         # the reply to the Hello waits behind both nodes' cold first decode:
         # it sets the estimate until the first in-run sample, the rollback
         # ack that echoes a rejecting outcome, replaces it; later acks blend
-        # in.  Each ack is timed from the send of the outcome that rejected
-        # the peer.  With no ack the handshake sample stands.
+        # in.  Each ack is timed from the write of the outcome that rejected
+        # the peer, not from when it was queued.  With no ack the handshake
+        # sample stands.
         cfg = base_config(role=Side.DEVICE, static_side=Side.DEVICE, max_new_tokens=24)
         reference = sequential_reference(cfg)
         rejected = [e.step for e in reference if not e.accept_r][:acks]
@@ -558,6 +642,8 @@ class TestEventLoop:
         with engine_pair(cfg) as (engine, peer):
             monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
             engine._request(Hello(), ProbeMsg(ProbeKind.ECHO_REPLY, seq=0))  # as run() opens
+            clock[0] += 0.002  # the loop writes it 2 ms after it was queued
+            engine._flush()
             clock[0] += 0.018
             engine._on_probe(ProbeMsg(ProbeKind.ECHO_REPLY, seq=0))
             assert engine.rtt_ema == pytest.approx(18.0)
@@ -565,8 +651,10 @@ class TestEventLoop:
                 engine._start_decode()
                 assert engine._finish_decode()
                 engine._queue_draft(Side.CLOUD, peer_draft(cfg, peer_state, step))
-                clock[0] += 0.003  # the outcome goes out 3 ms after the drafts
+                clock[0] += 0.003  # the outcome is queued 3 ms after the drafts
                 engine._aggregate_ready()
+                clock[0] += 0.001  # and written 1 ms later, before the loop waits
+                engine._flush()
                 if step in rejected:
                     ack = ProbeMsg(ProbeKind.ROLLBACK_ACK, seq=step)
                     assert [m for m, _ in engine.awaited] == [ack]
@@ -594,6 +682,7 @@ class TestEventLoop:
             engine._finish_decode()
             monkeypatch.undo()
             assert engine.profile_rows[-1][1] == pytest.approx(5.0)
+            engine._flush()
             sent = peer.recv()
         assert isinstance(sent, DraftMsg) and sent.decode_ms == pytest.approx(5.0)
 
@@ -749,6 +838,7 @@ class TestFailFast:
                 with pytest.raises(ProtocolError, match=f"{type(msg).__name__} before Hello"):
                     engine._handle(msg)
             engine._handle(Hello())
+            engine._flush()
             assert peer.recv() == ProbeMsg(ProbeKind.ECHO_REPLY, seq=0)
             with pytest.raises(ProtocolError, match="second Hello") as err:
                 engine._handle(Hello())

@@ -255,6 +255,22 @@ class TestLiveStream:
         client.close()
         server.close()
 
+    def test_unflushed_frames_wait_for_one_write_in_send_order(self):
+        near, far = socket.socketpair()
+        client = MessageStream(far, vocab_size=FUZZ_VOCAB)
+        server = MessageStream(near, vocab_size=FUZZ_VOCAB)
+        inbox = DelayedInbox(server)
+        msgs = [Hello(), TargetMsg(step=0, target=1, accept_l=True, accept_r=False), Bye()]
+        lengths = [client.send(m, flush=False) for m in msgs]
+        assert lengths == [len(encode_frame(m)) for m in msgs]
+        assert inbox.recv(timeout=0.0) is None  # nothing written yet
+        client.flush()
+        assert [inbox.recv(timeout=5.0) for _ in msgs] == msgs
+        client.flush()  # nothing left to write
+        inbox.close()
+        client.close()
+        server.close()
+
     def test_connect_resolves_a_hostname(self):
         client, server = loopback_pair(host="localhost")
         msg = TargetMsg(step=3, target=5, accept_l=True, accept_r=False)
