@@ -1,9 +1,10 @@
 """Dual-side speculative sampling and target-token selection.
 
-Each step takes one draft per side plus both corrected weights, runs two
+Each step takes one draft per side plus both corrected weights, defines two
 independent keep-or-resample processes (each marginally distributed as the
 interpolated target), picks one of the two results uniformly, and flags each
-draft accepted iff it equals the target.  All randomness enters as explicit
+draft accepted iff it equals the target.  The processes draw disjoint
+uniforms, so only the picked one is run.  All randomness enters as explicit
 uniforms so any run can be replayed draw-for-draw.
 
 Convention: throughout the engine the `l` slot is the device stream and `r`
@@ -91,18 +92,19 @@ def aggregate(
         raise ProtocolError(f"step mismatch: {draft_l.step} != {draft_r.step}")
     log_eta_l, log_eta_r = eta_log_weights(draft_l.h, draft_r.h)
     eta_l, eta_r = math.exp(log_eta_l), math.exp(log_eta_r)
-    tilde_l = speculative_sample(
-        draft_l.token, draft_l.dist, draft_r.dist, eta_r, draws.reject_l, draws.resample_l
-    )
-    tilde_r = speculative_sample(
-        draft_r.token, draft_r.dist, draft_l.dist, eta_l, draws.reject_r, draws.resample_r
-    )
+    for draft in (draft_l, draft_r):
+        if draft.dist.logp_of(draft.token) == -math.inf:
+            raise ValueError(f"draft token {draft.token} has zero probability under its own stream")
     if draws.select <= GAMMA_L:
-        target = tilde_l
-        resampled = Resampled.ADJUSTED_L if tilde_l != draft_l.token else Resampled.NONE
+        target = speculative_sample(
+            draft_l.token, draft_l.dist, draft_r.dist, eta_r, draws.reject_l, draws.resample_l
+        )
+        resampled = Resampled.ADJUSTED_L if target != draft_l.token else Resampled.NONE
     else:
-        target = tilde_r
-        resampled = Resampled.ADJUSTED_R if tilde_r != draft_r.token else Resampled.NONE
+        target = speculative_sample(
+            draft_r.token, draft_r.dist, draft_l.dist, eta_l, draws.reject_r, draws.resample_r
+        )
+        resampled = Resampled.ADJUSTED_R if target != draft_r.token else Resampled.NONE
     return AggregationOutcome(
         step=draft_l.step,
         target=target,

@@ -22,12 +22,13 @@ own drafts.  It queues every frame itself, in the order the state changed;
 that order is what the FIFO fence above relies on.  The queued frames leave
 in one write, before the loop waits and before it computes an own draft, so
 a draft and the outcome it completes travel together, draft first.  An own
-decode is a timer: it starts when the gates allow (after an own rejection,
-at the rollback itself), and once its injected delay has passed the loop
-drafts the token in one call.  The loop's only blocking wait is
-`DelayedInbox.recv`, bounded by that decode's due time.  The inbox comes
-first: every message already due is handled before the loop finishes or
-starts another own decode, so no outcome waits behind speculative drafts.
+decode is a timer: it starts as soon as the gates allow (as the previous
+draft is queued, and after an own rejection at the rollback itself), and
+once its injected delay has passed the loop drafts the token in one call.
+The loop's only blocking wait is `DelayedInbox.recv`, bounded by that
+decode's due time.  The inbox comes first: every message already due is
+handled before the loop finishes or starts another own decode, so no
+outcome waits behind speculative drafts.
 
 Side choice: right after it logs an outcome, the aggregator asks
 `scheduler.choose_side` about the next step, with that outcome's accept
@@ -197,8 +198,9 @@ class _NodeEngine:
     The protocol state below, the DecoderState included, belongs to the loop
     alone, so none of it is locked.  At most one own decode is under way: it
     is due `decode_delay_ms` after it starts, and `_finish_decode` drafts the
-    token once that time has passed.  Frames are queued by `_send` and
-    written by `_flush`.  Writes block: two loops cannot stall on each
+    token once that time has passed.  `_send` queues a message and `_flush`
+    frames and writes every queued one, so no frame is encoded on the way
+    to an outcome.  Writes block: two loops cannot stall on each
     other's writes while the frames in flight per direction (at most
     `queue_capacity` drafts plus a few control frames per draft) fit in the
     socket buffers, and a write that stalls FRAME_TIMEOUT_S fails the run.
@@ -218,6 +220,7 @@ class _NodeEngine:
         # time it was queued, and `_flush` restamps it
         self.awaited: deque[list] = deque()
         self._unwritten_requests: list[list] = []
+        self._outbox: list = []  # messages queued for the next `_flush`, in order
         self.log_entries: list[TargetEntry] = []
         self.current_agg: Side = config.static_side or Side.DEVICE
         # perf_counter time the own decode under way falls due; None: none is
@@ -324,6 +327,9 @@ class _NodeEngine:
         t_abs = len(cfg.prompt) + rec.step
         self.profile_rows.append((t_abs, decode_ms, pred, self.rtt_ema or 0.0))
         self._send(msg)
+        # the next decode's timer starts with this draft, not after the
+        # aggregation it may complete; a rollback there restarts it
+        self._start_decode()
         return True
 
     def _queue_draft(self, side: Side, msg: DraftMsg) -> None:
@@ -362,8 +368,8 @@ class _NodeEngine:
             raise self._protocol_error("peer said bye before the log was final")
 
     def _send(self, msg) -> None:
-        """Queue a frame for the next `_flush`."""
-        self.stream.send(msg, flush=False)
+        """Queue a message for the next `_flush`."""
+        self._outbox.append(msg)
 
     def _request(self, msg, reply: ProbeMsg) -> None:
         """Queue a request the peer answers with `reply`, timed from its write."""
@@ -373,8 +379,11 @@ class _NodeEngine:
         self._send(msg)
 
     def _flush(self) -> None:
-        """Write every queued frame at once; the requests among them are timed
-        from this write."""
+        """Frame every queued message and write the frames at once; the
+        requests among them are timed from this write."""
+        for msg in self._outbox:
+            self.stream.send(msg, flush=False)
+        self._outbox.clear()
         if self._unwritten_requests:
             now = time.perf_counter()
             for entry in self._unwritten_requests:

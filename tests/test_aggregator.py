@@ -118,6 +118,15 @@ class TestAggregate:
         with pytest.raises(ProtocolError):
             aggregate(l, r, draws(0.1, 0.2, 0.3, 0.4, 0.5))
 
+    @pytest.mark.parametrize("select", [0.1, 0.9])
+    def test_zero_probability_draft_rejected_whichever_sample_is_picked(self, select):
+        # only the picked sample is drawn, yet either draft with a token its
+        # own stream cannot produce is refused
+        good, bad = record(0, 1, [0.5, 0.5]), record(0, 0, [0.0, 1.0])
+        for l, r in ((good, bad), (bad, good)):
+            with pytest.raises(ValueError, match="zero probability"):
+                aggregate(l, r, draws(0.5, 0.5, 0.5, 0.5, select))
+
     def test_one_sided_weight_limit(self):
         # h gap 50: eta_r ~ 0, so the l draft can never be rejected, and the
         # r draft resamples from the l stream whenever their supports differ

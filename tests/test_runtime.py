@@ -525,6 +525,19 @@ class TestEventLoop:
             assert engine.decode_due == pytest.approx(rolled_back[0] + 0.010, rel=0, abs=1e-9)
             monkeypatch.undo()
 
+    def test_next_decode_due_a_decode_after_the_draft(self, monkeypatch):
+        # the next own decode's timer starts as the draft is queued, not after
+        # the aggregation that draft may complete
+        cfg = base_config(decode_delay_ms=10.0)
+        clock = [100.0]
+        with engine_pair(cfg) as (engine, peer):
+            monkeypatch.setattr(runtime.time, "perf_counter", lambda: clock[0])
+            engine._start_decode()
+            clock[0] = engine.decode_due + 0.001
+            assert engine._finish_decode()
+            assert engine.decode_due == pytest.approx(clock[0] + 0.010, rel=0, abs=1e-9)
+            monkeypatch.undo()
+
     def test_draft_and_the_outcome_it_completes_leave_in_one_write(self, monkeypatch):
         # the loop writes the frames of a pass at once: an own draft that
         # completes a step's heads goes out with that step's outcome, draft

@@ -17,18 +17,23 @@ token_path = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(token_path)
 
 
-def row(variant, segments, frames=30, writes=30, tokens=10, equal=True):
-    return {"variant": variant, "role": "device", "equal": equal, "tokens": tokens,
-            "frames": frames, "writes": writes, "segments_us": segments}
+def row(variant, timed, generation=0, role="device", frames=30, writes=30, latency=None):
+    """timed: (step, kind, five segment times in µs) per timed token."""
+    return {"variant": variant, "generation": generation, "role": role, "equal": True,
+            "tokens": 10, "frames": frames, "writes": writes,
+            "timed": [{"step": step, "kind": kind, "us": us} for step, kind, us in timed],
+            "latency_ms": latency or [11.0 + 0.1 * i for i in range(9)]}
 
 
-def test_summary_takes_medians_over_all_timed_tokens(tmp_path, capsys):
+def test_summary_takes_medians_per_kind_over_all_timed_tokens(tmp_path, capsys):
     rows = [
-        row("parent", [[60, 170, 540, 150, 20], [50, 160, 560, 140, 30]]),
-        row("parent", [[70, 180, 520, 160, 10]], frames=28, writes=28),
-        row("change", [[3, 150, 340, 140, 80]], writes=25),
-        row("change", [[2, 160, 330, 150, 70], [4, 140, 350, 130, 90]], frames=28, writes=24),
-        {"variant": "change", "role": "cloud", "error": "boom"},
+        row("parent", [(1, "local", [60, 170, 540, 150, 20]), (3, "local", [50, 160, 560, 140, 30]),
+                       (5, "remote", [90, 100, 500, 120, 20])]),
+        row("parent", [(2, "local", [70, 180, 520, 160, 10])], role="cloud", frames=28, writes=28),
+        row("change", [(1, "local", [3, 150, 340, 140, 80])], writes=25, latency=[10.0] * 9),
+        row("change", [(1, "local", [2, 160, 330, 150, 70]), (3, "local", [4, 140, 350, 130, 90])],
+            generation=1, frames=28, writes=24),
+        {"variant": "change", "generation": 1, "role": "cloud", "error": "boom"},
     ]
     path = tmp_path / "rows.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
@@ -37,16 +42,25 @@ def test_summary_takes_medians_over_all_timed_tokens(tmp_path, capsys):
     parent, change = out["parent"], out["change"]
     assert (parent["nodes"], parent["failed"], change["nodes"], change["failed"]) == (2, 0, 2, 1)
     assert parent["all_equal"] and change["all_equal"]
-    assert (parent["timed_tokens"], change["timed_tokens"]) == (3, 3)
     assert (parent["frames_per_token"], parent["writes_per_token"]) == (2.9, 2.9)
     assert (change["frames_per_token"], change["writes_per_token"]) == (2.9, 2.45)
-    assert parent["median_us"] == {
+    # every token's latency is the device's, whichever node timed it
+    assert parent["itl_p50_ms"] == 11.4 and change["itl_p50_ms"] == 10.5
+    local = parent["local"]
+    assert (local["tokens"], local["share_of_itl_samples"]) == (3, round(3 / 9, 4))
+    assert local["itl_p50_ms"] == 11.1  # of steps 1, 3 and 2
+    assert local["median_us"] == {
         "rollback_to_timer": 60, "overshoot": 170, "own_draft": 540, "aggregation": 150,
         "write": 20, "sum": 940,
     }
-    assert change["median_us"]["own_draft"] == 340
-    assert out["change_less_parent_us"]["rollback_to_timer"] == 3 - 60
-    assert out["change_less_parent_us"]["sum"] == change["median_us"]["sum"] - 940
+    assert parent["remote"]["tokens"] == 1 and "remote" not in change
+    assert change["local"]["median_us"]["own_draft"] == 340
+    assert change["local"]["itl_p50_ms"] == 11.0  # of 10.0, 11.0 and 11.2
+    less = out["change_less_parent_us"]
+    assert less["itl_p50_us"] == -900.0 and "remote" not in less
+    assert less["local"]["rollback_to_timer"] == 3 - 60
+    assert less["local"]["sum"] == change["local"]["median_us"]["sum"] - 940
+    assert less["local"]["itl_p50_us"] == -100.0
 
 
 def test_a_node_pair_of_this_tree_times_its_redrafts(tmp_path):
@@ -71,7 +85,8 @@ def test_a_node_pair_of_this_tree_times_its_redrafts(tmp_path):
         assert r["equal"] and r["tokens"] == 40
         # the Hello, the echo reply and the Bye alone are three frames
         assert 3 <= r["writes"] <= r["frames"]
-    segments = [seg for r in rows for seg in r["segments_us"]]
-    assert segments and all(len(seg) == len(token_path.SEGMENTS) for seg in segments)
-    for seg in segments:
-        assert all(us >= 0.0 for us in seg[:4])
+    timed = [t for r in rows for t in r["timed"]]
+    assert timed and all(len(t["us"]) == len(token_path.SEGMENTS) for t in timed)
+    for t in timed:
+        assert t["kind"] in ("local", "remote") and 1 <= t["step"] < 40
+        assert all(us >= 0.0 for us in t["us"][:4])

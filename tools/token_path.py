@@ -1,13 +1,15 @@
-"""Time the engine's own work on the tokens that redraft after an own rejection.
+"""Time the engine's own work on the tokens a node redrafts after its draft was rejected.
 
     python3 tools/token_path.py run --parent DIR --change DIR --rows rows.jsonl \\
         [--workload wan-v256] [--seed 1] [--generations 10]
     python3 tools/token_path.py summarize --rows rows.jsonl
 
-The token timed is the common one on a delayed link: the aggregator rejects
-its own draft, rolls back, waits its injected decode delay, drafts again and
-aggregates the step with the peer's draft that is already queued.  Along
-that token each node marks, on its own monotonic clock:
+The token timed is the common one on a delayed link: a node's draft is
+rejected, by its own aggregation (kind "local") or by the peer's outcome
+that hands it the role (kind "remote"); it rolls back, waits its injected
+decode delay, drafts again and aggregates the step with the peer's draft
+that is already queued.  Along that token the node marks, on its own
+monotonic clock:
 
     t0  the rollback of its rejected draft returns;
     t1  the redraft's timer starts (its due time less the decode delay);
@@ -21,17 +23,20 @@ and reports the segments rollback_to_timer (t1 - t0), overshoot (t3 - t2),
 own_draft (t4 - t3), aggregation (t5 - t4) and write (tw - t5), in µs.  A
 token whose peer draft was not queued when the redraft started, or whose
 next step the peer aggregated, is left out.  Each node also counts the
-frames it sent (`MessageStream.send` calls) and its socket writes.
+frames it sent (`MessageStream.send` calls) and its socket writes, and
+keeps its inter-token latencies, as the benchmark reads them from the
+device.
 
 `run` draws the inputs with `specbench/live.py`'s `make_inputs` for the
 workload and seed, and runs generations on them in turn.  Each generation
 runs once per variant, the parent's and the change's `src/`, alternating
 which goes first; each run is a node pair of two fresh processes over
 loopback TCP, each timing itself.  Each run appends one JSON row per node.
-`summarize` prints, per variant, the median of each segment over all timed
-tokens, the frames and writes per token and whether every log equalled the
-expected one, and the change's median less the parent's.  Run it from the
-repository root.
+`summarize` prints, per variant, the frames and writes per token, whether
+every log equalled the expected one and the device's inter-token latency
+median over all tokens; per kind, the timed tokens' share of the device's
+latency samples, their latency median and the median of each segment; and
+the change's medians less the parent's.  Run it from the repository root.
 """
 
 from __future__ import annotations
@@ -129,9 +134,10 @@ def worker(role: str, port: int, inputs_path: str, index: int) -> dict:
             redrafted = aggregating and "t4" in pending and step == pending["step"] + 1
             closing = pending if redrafted else None
             pending = None
-        if aggregating and not own_accepted:
+        if not own_accepted:
             t0, timer = marks["rollback"], marks.get("timer", -1.0)
-            pending = {"step": step, "t0": t0, "t1": timer if timer >= t0 else None}
+            pending = {"step": step, "kind": "local" if aggregating else "remote",
+                       "t0": t0, "t1": timer if timer >= t0 else None}
 
     def marked_start(self):
         idle = self.decode_due is None
@@ -166,10 +172,12 @@ def worker(role: str, port: int, inputs_path: str, index: int) -> dict:
         counts["writes"] += 1
         if closing is not None and "t5" in closing:
             c, tw = closing, clock()
-            timed.append([1e6 * (b - a) for a, b in (
-                (c["t0"], c["t1"]), (c["t2"], c["t3"]), (c["t3"], c["t4"]),
-                (c["t4"], c["t5"]), (c["t5"], tw),
-            )])
+            timed.append({"step": c["step"] + 1, "kind": c["kind"], "us": [
+                round(1e6 * (b - a), 2) for a, b in (
+                    (c["t0"], c["t1"]), (c["t2"], c["t3"]), (c["t3"], c["t4"]),
+                    (c["t4"], c["t5"]), (c["t5"], tw),
+                )
+            ]})
             closing = None
         return out
 
@@ -186,7 +194,8 @@ def worker(role: str, port: int, inputs_path: str, index: int) -> dict:
         "equal": [list(e.key()) for e in result.target_log] == expected,
         "tokens": len(result.target_log),
         **counts,
-        "segments_us": [[round(x, 2) for x in seg] for seg in timed],
+        "timed": timed,
+        "latency_ms": [round(e.latency_ms, 4) for e in result.target_log[1:]],
     }
 
 
@@ -236,32 +245,58 @@ def record(args: argparse.Namespace) -> int:
     return 0
 
 
+def _medians(timed: list[dict]) -> dict:
+    medians = {
+        name: round(statistics.median(t["us"][i] for t in timed), 1)
+        for i, name in enumerate(SEGMENTS)
+    }
+    return {**medians, "sum": round(sum(medians.values()), 1)}
+
+
 def summarize_rows(rows: list[dict]) -> dict:
-    """Per variant: segment medians in µs, counts per token and equality."""
+    """Per variant: counts per token, equality and the device's inter-token
+    latency median in ms; per kind of timed token, its share of the device's
+    latency samples, their median and the segment medians in µs."""
     out: dict[str, dict] = {}
     for variant in VARIANTS:
         mine = [r for r in rows if r["variant"] == variant]
         ok = [r for r in mine if "error" not in r]
-        segments = [seg for r in ok for seg in r["segments_us"]]
         tokens = sum(r["tokens"] for r in ok)
-        entry = {
+        entry: dict = {
             "nodes": len(ok),
             "failed": len(mine) - len(ok),
             "all_equal": bool(ok) and all(r["equal"] for r in ok),
-            "timed_tokens": len(segments),
             "frames_per_token": round(sum(r["frames"] for r in ok) / tokens, 4) if tokens else 0.0,
             "writes_per_token": round(sum(r["writes"] for r in ok) / tokens, 4) if tokens else 0.0,
         }
-        if segments:
-            medians = {
-                name: round(statistics.median(seg[i] for seg in segments), 1)
-                for i, name in enumerate(SEGMENTS)
+        itl: list[float] = []
+        timed: dict[str, list[tuple[dict, float]]] = {}
+        for device in (r for r in ok if r["role"] == "device"):
+            latency = device["latency_ms"]  # step k's latency sits at k - 1
+            itl += latency
+            for node in (r for r in ok if r["generation"] == device["generation"]):
+                for t in node["timed"]:
+                    timed.setdefault(t["kind"], []).append((t, latency[t["step"] - 1]))
+        if itl:
+            entry["itl_p50_ms"] = round(statistics.median(itl), 4)
+        for kind, pairs in sorted(timed.items()):
+            entry[kind] = {
+                "tokens": len(pairs),
+                "share_of_itl_samples": round(len(pairs) / len(itl), 4),
+                "itl_p50_ms": round(statistics.median(ms for _, ms in pairs), 4),
+                "median_us": _medians([t for t, _ in pairs]),
             }
-            entry["median_us"] = {**medians, "sum": round(sum(medians.values()), 1)}
         out[variant] = entry
-    if all("median_us" in out[v] for v in VARIANTS):
-        parent, change = out["parent"]["median_us"], out["change"]["median_us"]
-        out["change_less_parent_us"] = {k: round(change[k] - parent[k], 1) for k in parent}
+    parent, change = out["parent"], out["change"]
+    less: dict = {}
+    if "itl_p50_ms" in parent and "itl_p50_ms" in change:
+        less["itl_p50_us"] = round(1000.0 * (change["itl_p50_ms"] - parent["itl_p50_ms"]), 1)
+    for kind in ("local", "remote"):
+        if kind in parent and kind in change:
+            p, c = parent[kind], change[kind]
+            less[kind] = {k: round(c["median_us"][k] - v, 1) for k, v in p["median_us"].items()}
+            less[kind]["itl_p50_us"] = round(1000.0 * (c["itl_p50_ms"] - p["itl_p50_ms"]), 1)
+    out["change_less_parent_us"] = less
     return out
 
 
