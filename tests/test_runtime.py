@@ -1,3 +1,4 @@
+import ctypes
 import math
 import socket
 import subprocess
@@ -537,6 +538,21 @@ class TestEventLoop:
             assert engine._finish_decode()
             assert engine.decode_due == pytest.approx(clock[0] + 0.010, rel=0, abs=1e-9)
             monkeypatch.undo()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="a Linux thread attribute")
+    def test_node_thread_asks_for_timed_waits_on_time(self):
+        # run_node's thread is the loop's: its timed waits may end at most
+        # 1 ns past their timeout, not the default 50 us
+        slack = []
+
+        def node_thread():
+            runtime._wake_timed_waits_on_time()
+            slack.append(ctypes.CDLL(None).prctl(30, 0, 0, 0, 0))  # PR_GET_TIMERSLACK
+
+        thread = threading.Thread(target=node_thread)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive() and slack == [1]
 
     def test_draft_and_the_outcome_it_completes_leave_in_one_write(self, monkeypatch):
         # the loop writes the frames of a pass at once: an own draft that
