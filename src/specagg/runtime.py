@@ -26,7 +26,8 @@ decode is a timer: it starts as soon as the gates allow (as the previous
 draft is queued, and after an own rejection at the rollback itself), and
 once its injected delay has passed the loop drafts the token in one call.
 The loop's only blocking wait is `DelayedInbox.recv`, bounded by that
-decode's due time.  The inbox comes first: every message already due is
+decode's due time; on Linux the loop's thread runs with 1 ns of timer
+slack, so that wait ends on time.  The inbox comes first: every message already due is
 handled before the loop finishes or starts another own decode, so no
 outcome waits behind speculative drafts.
 
